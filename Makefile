@@ -8,7 +8,7 @@ BENCH_TIME ?= 300ms
 # keeps the CI gate fast, the 25% threshold absorbs the extra noise.
 COMPARE_TIME ?= 200ms
 
-.PHONY: build test race bench bench-smoke bench-compare scenarios daemon soak soak-durable
+.PHONY: build test race bench bench-smoke bench-compare fuzz-smoke scenarios daemon soak soak-durable
 
 build:
 	go build ./...
@@ -41,6 +41,27 @@ bench-compare:
 	go run ./cmd/benchjson compare -baseline BENCH_$(BENCH_PR).json \
 		-benchtime $(COMPARE_TIME)
 
+# fuzz-smoke runs every fuzzer for FUZZ_TIME each: the wire envelope and
+# frame-stream decoders, WAL recovery, the snapshot decoder, and the PF
+# schedule parser — every decoder that reads bytes from a peer, a client,
+# or a disk. A failing input is written under the package's testdata/fuzz
+# and replays in plain `go test` once committed.
+FUZZ_TIME ?= 10s
+FUZZERS = \
+	internal/wire:FuzzBinaryDecode \
+	internal/wire:FuzzBinaryEnvelope \
+	internal/wire:FuzzDecode \
+	internal/wal:FuzzWALRecover \
+	internal/store:FuzzSnapshotDecode \
+	internal/pfparse:FuzzParse
+
+fuzz-smoke:
+	@set -e; for f in $(FUZZERS); do \
+		pkg=$${f%%:*}; name=$${f##*:}; \
+		echo "fuzz $$pkg $$name ($(FUZZ_TIME))"; \
+		go test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZ_TIME) ./$$pkg/; \
+	done
+
 # scenarios runs the deterministic fault-injection matrix across the CI
 # seeds, failing on any invariant violation.
 scenarios:
@@ -52,8 +73,9 @@ daemon:
 	go build -o bin/pushpulld ./cmd/pushpulld
 
 # soak is the short multi-process chaos soak CI runs: 3 real pushpulld
-# processes on loopback, sustained HTTP traffic, one SIGKILL +
-# restart-from-snapshot, scraped-state invariants, race-enabled. Set
+# processes on loopback, each with a write-ahead log, sustained HTTP
+# traffic, one SIGKILL + recovery from the victim's WAL alone,
+# scraped-state invariants, race-enabled. Set
 # SOAK_OUT=<file> to keep the final scraped states as JSON. Drop -short
 # for the full version (5 processes, 2 kill cycles, a joining member).
 soak:

@@ -314,24 +314,25 @@ func BenchmarkPGridRoute(b *testing.B) {
 	}
 }
 
+// BenchmarkWireEncodeDecode round-trips one push envelope through the
+// binary codec the transports speak.
 func BenchmarkWireEncodeDecode(b *testing.B) {
 	st := store.New()
 	w, err := store.NewWriter("o", st, time.Now, rand.New(rand.NewSource(4)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	u := w.Put("key", make([]byte, 256))
 	env := wire.Envelope{
-		Kind: wire.KindPush, From: "a:1", Update: wire.FromStore(u),
+		Kind: wire.KindPush, From: "a:1", Update: w.Put("key", make([]byte, 256)),
 		RF: []string{"a:1", "b:2", "c:3", "d:4"}, T: 3,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		raw, err := wire.Encode(env)
+		raw, err := wire.EncodeBinary(&env)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := wire.Decode(raw); err != nil {
+		if _, err := wire.DecodeBinary(raw); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,13 +8,14 @@
 //	pushpulld -http 127.0.0.1:8080 -gossip 127.0.0.1:7946 \
 //	    -peers 10.0.0.2:7946,10.0.0.3:7946 -wal-dir /var/lib/pushpull/wal
 //
-// With -wal-dir the daemon is crash-consistent: every accepted update is
-// appended to a write-ahead log (fsync policy per -fsync) before the apply
-// is acknowledged, and startup restores the latest checkpoint and replays
-// the surviving log — a kill -9 loses nothing acknowledged. Without it,
-// -snapshot provides graceful-shutdown-only persistence: restored on start
-// if the file exists (counting the restored updates for /v1/state), written
-// atomically on SIGINT/SIGTERM before draining. The line
+// -wal-dir is the daemon's one persistence setting. With it the daemon is
+// crash-consistent: every accepted update is appended to a write-ahead log
+// (fsync policy per -fsync) before the apply is acknowledged, and startup
+// restores the latest checkpoint and replays the surviving log — a kill -9
+// loses nothing acknowledged. Without it the replica is diskless and a
+// restart rejoins empty, refilled by anti-entropy and snapshot catch-up.
+// A checkpoint the daemon cannot read (a gob-era one included) stops
+// startup with exit status 1. The line
 //
 //	pushpulld ready http=HOST:PORT gossip=HOST:PORT
 //
@@ -23,9 +24,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,8 +39,16 @@ import (
 	pushpull "github.com/p2pgossip/update"
 	"github.com/p2pgossip/update/internal/pf"
 	"github.com/p2pgossip/update/internal/serve"
-	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/wal"
+)
+
+// HTTP server timeouts. A client gets readHeaderTimeout to finish its
+// request headers, so slow-header connections cannot pin the server; an
+// idle keep-alive connection is closed after idleTimeout. There is no write
+// timeout: /v1/watch streams stay open for as long as the client reads.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -65,19 +72,17 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		acks         = fs.Bool("acks", false, "enable the §6 acknowledgement optimisation")
 		listMax      = fs.Int("list-max", 0, "cap on flooding-list entries per push (0 = unlimited)")
 		seed         = fs.Int64("seed", 0, "PRNG seed; 0 draws from crypto/rand")
-		snapshotPath = fs.String("snapshot", "", "snapshot file: restored on start if present, written on graceful shutdown")
 
 		janitorInterval = fs.Duration("janitor-interval", time.Minute, "maintenance pass period: TTL expiry, tombstone GC, log compaction (0 disables)")
 		tombstoneTTL    = fs.Duration("tombstone-retention", 0, "how long tombstones outlive their delete before collection (0 = store default)")
 		keyTTL          = fs.Duration("key-ttl", 0, "expire live keys older than this into tombstones (0 disables)")
 		snapCatchUp     = fs.Int("snapshot-catchup", 1024, "pull deltas above this many updates are served as one snapshot frame (0 disables the size trigger)")
 
-		walDir        = fs.String("wal-dir", "", "write-ahead-log directory; enables crash-consistent durability (supersedes -snapshot restore)")
+		walDir        = fs.String("wal-dir", "", "write-ahead-log directory; enables crash-consistent durability (empty = diskless)")
 		fsyncPolicy   = fs.String("fsync", "interval", "WAL fsync policy: always (group commit per append), interval (timer-bounded loss window), never (kernel-paced)")
 		fsyncInterval = fs.Duration("fsync-interval", wal.DefaultSyncInterval, "flush period under -fsync interval")
 		walSegment    = fs.Int64("wal-segment", wal.DefaultSegmentBytes, "WAL segment size in bytes; sealed segments are pruned by checkpoints")
 		walCheckpoint = fs.Int64("wal-checkpoint", 0, "resident WAL bytes that trigger a janitor checkpoint (0 = built-in default)")
-		strictRestore = fs.Bool("strict-restore", false, "exit instead of starting empty when the -snapshot file exists but is unusable")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -113,23 +118,15 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	reg := pushpull.NewMetrics()
 	opts = append(opts, pushpull.WithMetrics(reg))
 
-	// With a WAL the checkpoint + log replay is the authoritative restore
-	// path; otherwise restore a previous incarnation's snapshot, counting the
-	// restored updates so /v1/state can reconcile apply counters across the
-	// restart.
-	var walLog *pushpull.WAL
-	restored := 0
-	switch {
-	case *walDir != "":
-		if *snapshotPath != "" {
-			fmt.Fprintf(stderr, "pushpulld: -wal-dir set; ignoring -snapshot restore (still written on graceful shutdown)\n")
-		}
+	// The checkpoint + log replay is the restore path; its counts let
+	// /v1/state reconcile apply counters across the restart.
+	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*fsyncPolicy)
 		if err != nil {
 			fmt.Fprintf(stderr, "pushpulld: %v\n", err)
 			return 2
 		}
-		walLog, err = pushpull.OpenWAL(pushpull.WALOptions{
+		walLog, err := pushpull.OpenWAL(pushpull.WALOptions{
 			Dir:          *walDir,
 			Policy:       policy,
 			Interval:     *fsyncInterval,
@@ -142,27 +139,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		}
 		defer walLog.Close()
 		opts = append(opts, pushpull.WithWAL(walLog), pushpull.WithWALCheckpoint(*walCheckpoint))
-	case *snapshotPath != "":
-		raw, err := os.ReadFile(*snapshotPath)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// First boot: nothing to restore.
-		case err != nil:
-			fmt.Fprintf(stderr, "pushpulld: read snapshot %s: %v\n", *snapshotPath, err)
-			return 1
-		default:
-			st, err := store.ReadSnapshot(bytes.NewReader(raw), 0)
-			switch {
-			case err != nil && *strictRestore:
-				fmt.Fprintf(stderr, "pushpulld: snapshot %s unusable: %v\n", *snapshotPath, err)
-				return 1
-			case err != nil:
-				fmt.Fprintf(stderr, "pushpulld: snapshot %s unusable (%v); starting empty, anti-entropy will catch up\n", *snapshotPath, err)
-			default:
-				restored = st.UpdateCount()
-				opts = append(opts, pushpull.WithSnapshot(bytes.NewReader(raw)))
-			}
-		}
 	}
 
 	node, err := pushpull.Open(opts...)
@@ -170,6 +146,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		fmt.Fprintf(stderr, "pushpulld: open: %v\n", err)
 		return 1
 	}
+	restored := 0
 	if rec, ok := node.WALRecovery(); ok {
 		restored = rec.Restored()
 		if restored > 0 || rec.TruncatedBytes > 0 {
@@ -196,7 +173,11 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		_ = node.Close(context.Background())
 		return 1
 	}
-	httpServer := &http.Server{Handler: srv.Handler()}
+	httpServer := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpServer.Serve(ln) }()
 
@@ -217,16 +198,10 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		return 1
 	}
 
-	// Graceful shutdown: stop advertising readiness, persist the log,
-	// stop the protocol, then drain HTTP.
+	// Graceful shutdown: stop advertising readiness, stop the protocol,
+	// then drain HTTP.
 	srv.SetReady(false)
 	code := 0
-	if *snapshotPath != "" {
-		if err := writeSnapshotAtomic(node, *snapshotPath); err != nil {
-			fmt.Fprintf(stderr, "pushpulld: %v\n", err)
-			code = 1
-		}
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := node.Close(ctx); err != nil {
@@ -238,17 +213,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		code = 1
 	}
 	return code
-}
-
-// writeSnapshotAtomic writes the node's snapshot next to path, fsyncs it,
-// and renames it into place (fsyncing the directory), so a crash mid-write
-// or just after the rename can never leave a truncated or unlinked snapshot
-// where the next boot will read it.
-func writeSnapshotAtomic(node *pushpull.Node, path string) error {
-	if err := wal.WriteFileAtomic(path, node.WriteSnapshot); err != nil {
-		return fmt.Errorf("snapshot %s: %w", path, err)
-	}
-	return nil
 }
 
 // splitPeers parses the -peers flag: comma-separated, blanks ignored.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -70,30 +71,27 @@ func parseReadyLine(line string) (httpAddr, gossipAddr string, err error) {
 	return httpAddr, gossipAddr, nil
 }
 
+// TestDaemonServesAndSnapshotsAcrossRestart: the daemon answers its
+// probes and writes, its janitor folds the log into a checkpoint snapshot,
+// and a new incarnation restores that checkpoint.
 func TestDaemonServesAndSnapshotsAcrossRestart(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "state.snap")
-	base, shutdown := startDaemon(t, "-snapshot", snap, "-pull-interval", "50ms")
+	walDir := filepath.Join(t.TempDir(), "wal")
+	base, shutdown := startDaemon(t, "-wal-dir", walDir, "-fsync", "never",
+		"-wal-checkpoint", "1", "-janitor-interval", "20ms")
 
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %d", resp.StatusCode)
-	}
-	resp, err = http.Get(base + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz: %d", resp.StatusCode)
+	for _, probe := range []string{"/healthz", "/readyz"} {
+		resp, err := http.Get(base + probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d", probe, resp.StatusCode)
+		}
 	}
 
-	// Write a key through the edge.
 	req, _ := http.NewRequest(http.MethodPut, base+"/v1/kv/boot/count", bytes.NewReader([]byte("1")))
-	resp, err = http.DefaultClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +100,24 @@ func TestDaemonServesAndSnapshotsAcrossRestart(t *testing.T) {
 		t.Fatalf("put: %d", resp.StatusCode)
 	}
 
-	// Graceful shutdown must leave a snapshot behind.
+	// Any resident log exceeds a 1-byte threshold, so the next janitor
+	// pass must leave a checkpoint snapshot behind.
+	snap := filepath.Join(walDir, "checkpoint.snap")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if fi, err := os.Stat(snap); err == nil && fi.Size() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("janitor never wrote a checkpoint snapshot")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	if code := shutdown(); code != 0 {
 		t.Fatalf("daemon exit code %d", code)
 	}
-	if fi, err := os.Stat(snap); err != nil || fi.Size() == 0 {
-		t.Fatalf("snapshot not written: %v", err)
-	}
 
-	// A new incarnation restores it and reports the restored count.
-	base2, _ := startDaemon(t, "-snapshot", snap)
+	base2, _ := startDaemon(t, "-wal-dir", walDir, "-fsync", "never")
 	resp, err = http.Get(base2 + "/v1/kv/boot/count")
 	if err != nil {
 		t.Fatal(err)
@@ -133,44 +139,6 @@ func TestDaemonServesAndSnapshotsAcrossRestart(t *testing.T) {
 	}
 	if state.Restored != 1 || state.UpdateCount != 1 {
 		t.Fatalf("state after restore = %+v", state)
-	}
-}
-
-func TestDaemonStrictRestoreRejectsUnusableSnapshot(t *testing.T) {
-	bad := filepath.Join(t.TempDir(), "corrupt.snap")
-	if err := os.WriteFile(bad, []byte("definitely not gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code := run([]string{"-http", "127.0.0.1:0", "-gossip", "127.0.0.1:0", "-snapshot", bad, "-strict-restore"},
-		io.Discard, io.Discard, nil)
-	if code != 1 {
-		t.Fatalf("exit code %d, want 1", code)
-	}
-}
-
-func TestDaemonWarnsAndStartsEmptyOnUnusableSnapshot(t *testing.T) {
-	bad := filepath.Join(t.TempDir(), "corrupt.snap")
-	if err := os.WriteFile(bad, []byte("definitely not gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, shutdown := startDaemon(t, "-snapshot", bad)
-	resp, err := http.Get(base + "/v1/state")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var state serve.State
-	err = json.NewDecoder(resp.Body).Decode(&state)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if state.Restored != 0 || state.UpdateCount != 0 {
-		t.Fatalf("state after skipped restore = %+v", state)
-	}
-	// The graceful shutdown replaces the corrupt file with a valid (empty)
-	// snapshot.
-	if code := shutdown(); code != 0 {
-		t.Fatalf("daemon exit code %d", code)
 	}
 }
 
@@ -214,6 +182,59 @@ func TestDaemonWALRecoversAcrossRestart(t *testing.T) {
 	}
 	if state.Restored != 1 || state.UpdateCount != 1 {
 		t.Fatalf("state after wal recovery = %+v", state)
+	}
+}
+
+// TestDaemonRejectsLegacyGobCheckpoint: a WAL checkpoint in the gob-era
+// format 1 stops startup with exit status 1 and the migration message, not
+// a silent empty start that would drop acknowledged writes.
+func TestDaemonRejectsLegacyGobCheckpoint(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("..", "..", "internal", "store", "testdata", "legacy-gob-v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walDir := filepath.Join(t.TempDir(), "wal")
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(walDir, "checkpoint.snap"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	code := run([]string{"-http", "127.0.0.1:0", "-gossip", "127.0.0.1:0", "-wal-dir", walDir},
+		io.Discard, &stderr, nil)
+	if code != 1 {
+		t.Fatalf("exit code %d, want 1 (stderr %q)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "Migrating gob snapshots/checkpoints") {
+		t.Fatalf("stderr does not name the migration: %q", stderr.String())
+	}
+}
+
+// TestDaemonDropsSlowHeaderClients: a client that opens a connection and
+// never finishes its request headers is disconnected after
+// readHeaderTimeout instead of holding the connection forever.
+func TestDaemonDropsSlowHeaderClients(t *testing.T) {
+	t.Parallel()
+	base, _ := startDaemon(t)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: pushpulld\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after the partial request", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout-time.Second {
+		t.Fatalf("connection closed after %v, before the header timeout", waited)
 	}
 }
 

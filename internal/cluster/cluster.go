@@ -3,8 +3,9 @@
 // internal/scenario harness. Where scenario injects faults into a simnet
 // and inspects peers through pointers, cluster builds the daemon binary,
 // starts N OS processes on loopback, drives sustained client traffic
-// through the HTTP edge, injects real faults (SIGKILL, restart-from-
-// snapshot on the same address, peer-list churn), and then checks the same
+// through the HTTP edge, injects real faults (SIGKILL, recovery from the
+// member's write-ahead log on the same address, peer-list churn), and then
+// checks the same
 // invariants — eventual delivery, clock/store convergence, no duplicate
 // application — against state scraped over HTTP (/v1/state).
 //
@@ -67,9 +68,6 @@ type ProcConfig struct {
 	GossipAddr string
 	// Peers are gossip addresses taught at startup.
 	Peers []string
-	// SnapshotPath, when non-empty, is restored on start (if the file
-	// exists) and written on graceful shutdown.
-	SnapshotPath string
 	// WALDir, when non-empty, enables the daemon's write-ahead log: every
 	// acknowledged write is on disk before the HTTP response, and a restart
 	// recovers from this directory alone (see KillAndRecover).
@@ -77,9 +75,6 @@ type ProcConfig struct {
 	// Fsync is the WAL fsync policy (always/interval/never); "" leaves the
 	// daemon default.
 	Fsync string
-	// StrictRestore makes an unusable snapshot fatal at startup instead of
-	// a warn-and-start-empty.
-	StrictRestore bool
 	// Seed pins the daemon's randomness; 0 draws from crypto/rand.
 	Seed int64
 	// PullInterval is the anti-entropy period (0 = daemon default 30s).
@@ -105,17 +100,11 @@ func (c ProcConfig) args() []string {
 	if len(c.Peers) > 0 {
 		args = append(args, "-peers", strings.Join(c.Peers, ","))
 	}
-	if c.SnapshotPath != "" {
-		args = append(args, "-snapshot", c.SnapshotPath)
-	}
 	if c.WALDir != "" {
 		args = append(args, "-wal-dir", c.WALDir)
 	}
 	if c.Fsync != "" {
 		args = append(args, "-fsync", c.Fsync)
-	}
-	if c.StrictRestore {
-		args = append(args, "-strict-restore")
 	}
 	if c.Seed != 0 {
 		args = append(args, "-seed", strconv.FormatInt(c.Seed, 10))
@@ -225,15 +214,15 @@ func parseReadyLine(line string) (httpAddr, gossipAddr string, err error) {
 	return httpAddr, gossipAddr, nil
 }
 
-// Kill delivers SIGKILL — the chaos path: no snapshot, no drain, the
-// process just stops — and reaps the child.
+// Kill delivers SIGKILL — the chaos path: no drain, the process just
+// stops — and reaps the child.
 func (p *Proc) Kill() error {
 	_ = p.cmd.Process.Kill()
 	<-p.done
 	return nil
 }
 
-// Stop delivers SIGTERM (graceful drain: snapshot written, listeners
+// Stop delivers SIGTERM (graceful drain: protocol stopped, listeners
 // drained) and waits for exit up to the timeout, escalating to SIGKILL.
 func (p *Proc) Stop(timeout time.Duration) error {
 	_ = p.cmd.Process.Signal(syscall.SIGTERM)
@@ -282,9 +271,6 @@ func Launch(bin string, n int, base ProcConfig, logw io.Writer) (*Cluster, error
 		if base.Seed != 0 {
 			cfg.Seed = base.Seed + int64(i)
 		}
-		if base.SnapshotPath != "" {
-			cfg.SnapshotPath = fmt.Sprintf("%s.%d", base.SnapshotPath, i)
-		}
 		if base.WALDir != "" {
 			cfg.WALDir = fmt.Sprintf("%s.%d", base.WALDir, i)
 		}
@@ -313,38 +299,6 @@ func (c *Cluster) GossipAddrs() []string {
 		addrs[i] = p.GossipAddr
 	}
 	return addrs
-}
-
-// KillAndRestart scrapes member i's snapshot over HTTP, SIGKILLs the
-// process, and restarts it from that snapshot on the same HTTP and gossip
-// addresses with the full current peer list — the cluster-level
-// crash-restart fault. Callers must have stopped directing writes at the
-// member first: updates it originates between the scrape and the kill
-// would be lost locally and their sequence numbers reused after restart.
-// snapshotPath says where to stash the scraped snapshot.
-func (c *Cluster) KillAndRestart(i int, snapshotPath string) error {
-	snap, err := c.Clients[i].Snapshot()
-	if err != nil {
-		return fmt.Errorf("cluster: scrape snapshot of member %d: %w", i, err)
-	}
-	if err := os.WriteFile(snapshotPath, snap, 0o644); err != nil {
-		return err
-	}
-	if err := c.Procs[i].Kill(); err != nil {
-		return err
-	}
-	cfg := c.Procs[i].Cfg
-	cfg.HTTPAddr = c.Procs[i].HTTPAddr
-	cfg.GossipAddr = c.Procs[i].GossipAddr
-	cfg.SnapshotPath = snapshotPath
-	cfg.Peers = c.GossipAddrs()
-	p, err := StartProc(c.Bin, cfg, c.logw)
-	if err != nil {
-		return fmt.Errorf("cluster: restart member %d: %w", i, err)
-	}
-	c.Procs[i] = p
-	c.Clients[i] = NewClient(p.HTTPAddr)
-	return nil
 }
 
 // KillAndRecover restarts member i from its on-disk write-ahead log alone:

@@ -76,9 +76,9 @@ func (tr *soakTraffic) write(clients []*Client, n int) {
 }
 
 // TestClusterSoak is the multi-process chaos soak: N real pushpulld
-// processes on loopback, sustained HTTP traffic, SIGKILL + restart-from-
-// scraped-snapshot on the same addresses, peer-list churn, then the
-// scraped-state invariants. Short mode (CI) runs 3 processes and one kill
+// processes on loopback, each with a write-ahead log, sustained HTTP
+// traffic, SIGKILL + recovery from disk alone on the same addresses,
+// peer-list churn, then the scraped-state invariants. Short mode (CI) runs 3 processes and one kill
 // cycle in ~30s; full mode runs 5 processes, two kill cycles, and a
 // cold member joining mid-run.
 func TestClusterSoak(t *testing.T) {
@@ -93,7 +93,8 @@ func TestClusterSoak(t *testing.T) {
 		Fanout:       4,
 		PF:           1,
 		Acks:         true,
-		SnapshotPath: filepath.Join(tmp, "member.snap"),
+		WALDir:       filepath.Join(tmp, "member.wal"),
+		Fsync:        "never",
 	}
 	c, err := Launch(daemonBin, procs, base, testLogWriter{t})
 	if err != nil {
@@ -105,9 +106,10 @@ func TestClusterSoak(t *testing.T) {
 	// Phase 1: sustained traffic through every member.
 	tr.write(c.Clients, keysPerPhase)
 
-	// Phase 2: kill cycles. Writes to the victim stop BEFORE its snapshot
-	// is scraped — updates originated between scrape and kill would reuse
-	// sequence numbers after restart.
+	// Phase 2: kill cycles. The victim recovers every write it
+	// acknowledged from its WAL (fsync never still hands each record to the
+	// kernel before the ack, which survives SIGKILL), so its sequence
+	// numbers are never reused.
 	for cycle := 0; cycle < killCycles; cycle++ {
 		victim := 1 + cycle%(procs-1)
 		survivors := make([]*Client, 0, procs-1)
@@ -116,8 +118,7 @@ func TestClusterSoak(t *testing.T) {
 				survivors = append(survivors, cl)
 			}
 		}
-		snapPath := filepath.Join(tmp, fmt.Sprintf("victim-%d.snap", cycle))
-		if err := c.KillAndRestart(victim, snapPath); err != nil {
+		if err := c.KillAndRecover(victim); err != nil {
 			t.Fatalf("kill cycle %d: %v", cycle, err)
 		}
 		// Traffic keeps flowing while the victim catches back up.
@@ -132,7 +133,7 @@ func TestClusterSoak(t *testing.T) {
 	if !testing.Short() {
 		cfg := base
 		cfg.Seed = base.Seed + int64(procs)
-		cfg.SnapshotPath = filepath.Join(tmp, "joiner.snap")
+		cfg.WALDir = filepath.Join(tmp, "joiner.wal")
 		cfg.Peers = c.GossipAddrs()
 		p, err := StartProc(daemonBin, cfg, testLogWriter{t})
 		if err != nil {
@@ -204,14 +205,15 @@ func writeSoakArtifact(states []State, refs []serve.PutResult) error {
 }
 
 // TestKillAndRestartPreservesIdentity pins the fault injector itself: the
-// restarted process must come back on the SAME addresses with the
-// snapshot's updates restored.
+// SIGKILLed process must come back on the SAME addresses with its
+// acknowledged updates recovered from its write-ahead log.
 func TestKillAndRestartPreservesIdentity(t *testing.T) {
-	tmp := t.TempDir()
 	c, err := Launch(daemonBin, 2, ProcConfig{
 		Seed:         7,
 		PullInterval: 100 * time.Millisecond,
 		PF:           1,
+		WALDir:       filepath.Join(t.TempDir(), "member.wal"),
+		Fsync:        "never",
 	}, testLogWriter{t})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +224,7 @@ func TestKillAndRestartPreservesIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	httpAddr, gossipAddr := c.Procs[1].HTTPAddr, c.Procs[1].GossipAddr
-	if err := c.KillAndRestart(1, filepath.Join(tmp, "id.snap")); err != nil {
+	if err := c.KillAndRecover(1); err != nil {
 		t.Fatal(err)
 	}
 	if c.Procs[1].HTTPAddr != httpAddr || c.Procs[1].GossipAddr != gossipAddr {

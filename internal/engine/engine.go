@@ -154,8 +154,8 @@ type Config[ID comparable] struct {
 	DeferPullRender bool
 	// ValidID reports whether a peer identity learned from the wire is
 	// usable as a protocol target. Nil accepts every non-self identity;
-	// the live adapter rejects empty addresses, which a zero-valued gob
-	// envelope would otherwise plant in the membership view and re-gossip
+	// the live adapter rejects empty addresses, which an envelope with an
+	// empty sender would otherwise plant in the membership view and re-gossip
 	// cluster-wide.
 	ValidID func(ID) bool
 	// Hooks observes protocol events.

@@ -56,7 +56,7 @@ func (k Kind) String() string {
 
 // Message is the engine's transport-independent protocol message. Adapters
 // convert it to and from their wire representation (typed simulator payloads
-// with byte accounting, gob envelopes on TCP). Only the fields relevant to
+// with byte accounting, binary envelopes on TCP). Only the fields relevant to
 // the Kind are set.
 type Message[ID comparable] struct {
 	// Kind selects which fields are meaningful.

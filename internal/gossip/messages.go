@@ -8,8 +8,8 @@ import (
 
 // Byte accounting. Every message type's SizeBytes returns the number of
 // payload bytes the live runtime's binary codec (internal/wire) would
-// produce for the equivalent envelope — computed with the codec's own
-// exported size functions, so simulated traffic totals cannot drift from
+// produce for the equivalent envelope — computed with the store codec's
+// exported size functions (internal/store/codec.go), so simulated traffic totals cannot drift from
 // the real wire format. Peer indices stand in for the canonical simulator
 // address "peer-<index>" (the same identity the store writers use), and the
 // per-frame fixed costs (length prefix, format version, kind, sender
@@ -23,13 +23,13 @@ func peerAddrSize(id int) int {
 	for v := id; v >= 10; v /= 10 {
 		digits++
 	}
-	return wire.UvarintSize(uint64(5+digits)) + 5 + digits
+	return store.UvarintSize(uint64(5+digits)) + 5 + digits
 }
 
 // peerListSize returns the encoded size of a peer-index list (count varint
 // plus one address per entry).
 func peerListSize(ids []int) int {
-	n := wire.UvarintSize(uint64(len(ids)))
+	n := store.UvarintSize(uint64(len(ids)))
 	for _, id := range ids {
 		n += peerAddrSize(id)
 	}
@@ -67,8 +67,8 @@ type PushMsg struct {
 // SizeBytes is the payload's binary-encoded size: the update record, the
 // flooding list, and the round counter.
 func (m PushMsg) SizeBytes() int {
-	return wire.StoreUpdateSize(m.Update) + peerListSize(m.RF) +
-		wire.UvarintSize(uint64(m.T))
+	return store.UpdateSize(m.Update) + peerListSize(m.RF) +
+		store.UvarintSize(uint64(m.T))
 }
 
 // PullReq asks a peer for updates the sender is missing, summarised by the
@@ -81,7 +81,7 @@ type PullReq struct {
 
 // SizeBytes is the clock's binary-encoded size. Clock origins are the
 // writers' "peer-<id>" strings, so no index translation is needed.
-func (m PullReq) SizeBytes() int { return wire.ClockSize(m.Clock) }
+func (m PullReq) SizeBytes() int { return store.ClockSize(m.Clock) }
 
 // PullResp ships the updates the requester was missing, plus a membership
 // sample (the name-dropper effect applied to the pull phase).
@@ -94,9 +94,9 @@ type PullResp struct {
 
 // SizeBytes sums the encoded update records and the peer sample.
 func (m PullResp) SizeBytes() int {
-	n := wire.UvarintSize(uint64(len(m.Updates)))
+	n := store.UvarintSize(uint64(len(m.Updates)))
 	for _, u := range m.Updates {
-		n += wire.StoreUpdateSize(u)
+		n += store.UpdateSize(u)
 	}
 	return n + peerListSize(m.Peers)
 }
@@ -114,7 +114,7 @@ type SnapshotMsg struct {
 
 // SizeBytes sums the encoded snapshot blob and the peer sample.
 func (m SnapshotMsg) SizeBytes() int {
-	return wire.BlobSize(m.Data) + peerListSize(m.Peers)
+	return store.BlobSize(m.Data) + peerListSize(m.Peers)
 }
 
 // AckMsg acknowledges the receipt of an update (§6): the sender gains
@@ -128,5 +128,5 @@ type AckMsg struct {
 
 // SizeBytes is the reference's binary-encoded size.
 func (m AckMsg) SizeBytes() int {
-	return wire.StringSize(m.Ref.Origin) + wire.UvarintSize(m.Ref.Seq)
+	return store.StringSize(m.Ref.Origin) + store.UvarintSize(m.Ref.Seq)
 }

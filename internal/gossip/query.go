@@ -3,8 +3,8 @@ package gossip
 import (
 	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/simnet"
+	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
-	"github.com/p2pgossip/update/internal/wire"
 )
 
 // §4.4 query servicing — the aggregation logic (freshest-version voting,
@@ -29,7 +29,7 @@ type QueryMsg struct {
 
 // SizeBytes is the payload's binary-encoded size: the query id plus the
 // key.
-func (m QueryMsg) SizeBytes() int { return 8 + wire.StringSize(m.Key) }
+func (m QueryMsg) SizeBytes() int { return 8 + store.StringSize(m.Key) }
 
 // QueryResp carries one replica's answer.
 type QueryResp struct {
@@ -50,8 +50,8 @@ type QueryResp struct {
 // SizeBytes is the payload's binary-encoded size: query id, key, flags,
 // value, and version history.
 func (m QueryResp) SizeBytes() int {
-	return 8 + wire.StringSize(m.Key) + 1 + wire.BlobSize(m.Value) +
-		wire.HistorySize(len(m.Version))
+	return 8 + store.StringSize(m.Key) + 1 + store.BlobSize(m.Value) +
+		store.HistorySize(len(m.Version))
 }
 
 // QueryResult is the requester-side aggregation of one query.

@@ -39,7 +39,7 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 	done := make(chan struct{}, 1)
 	resp := wire.Envelope{
 		Kind: wire.KindPullResp, From: peer.Addr(),
-		Updates: []wire.Update{{
+		Updates: []store.Update{{
 			Origin: "writer", Seq: 1, Key: "key", Value: []byte("value"),
 		}},
 	}
@@ -207,13 +207,13 @@ func benchParallelIngest(b *testing.B, senders int) {
 			rng := rand.New(rand.NewSource(int64(s) + 1))
 			env := wire.Envelope{Kind: wire.KindPush, From: out.Addr()}
 			for seq := 1; seq <= count; seq++ {
-				env.Update = wire.Update{
+				env.Update = store.Update{
 					Origin:  origin,
 					Seq:     uint64(seq),
 					Key:     fmt.Sprintf("k-%d-%d", s, seq),
 					Value:   []byte("parallel-ingest-payload"),
 					Version: version.History{version.NewID(stamp, origin, rng)},
-					Stamp:   stamp.UnixNano(),
+					Stamp:   stamp,
 				}
 				if err := out.Send(tr.Addr(), env); err != nil {
 					b.Errorf("send: %v", err)
@@ -388,7 +388,7 @@ func BenchmarkTCPSendBurst(b *testing.B) {
 
 	env := wire.Envelope{
 		Kind: wire.KindPush, From: a.Addr(),
-		Update: wire.Update{Origin: "writer", Seq: 1, Key: "key", Value: []byte("value")},
+		Update: store.Update{Origin: "writer", Seq: 1, Key: "key", Value: []byte("value")},
 		RF:     []string{"peer-1", "peer-2", "peer-3"},
 		T:      1,
 	}

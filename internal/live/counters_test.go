@@ -132,7 +132,7 @@ func TestReplicaCountersAreRegistered(t *testing.T) {
 	u2 := w.Put("k2", []byte("new"))
 	// Delivering u2 twice makes the second copy a push duplicate.
 	for _, u := range []store.Update{u2, u1, u2} {
-		env := wire.Envelope{Kind: wire.KindPush, From: "ext", Update: wire.FromStore(u)}
+		env := wire.Envelope{Kind: wire.KindPush, From: "ext", Update: u}
 		if err := ext.Send("replica-0", env); err != nil {
 			t.Fatalf("send: %v", err)
 		}
@@ -182,6 +182,14 @@ func TestReplicaCountersAreRegistered(t *testing.T) {
 		o := rec.observed()
 		return o[MetricSnapshotServed] > 0 && o[MetricSnapshotCatchups] > 0
 	}, "compacted replica did not serve a snapshot catch-up")
+
+	// A snapshot frame that does not decode is dropped and counted.
+	if err := ext.Send("replica-0", wire.Envelope{Kind: wire.KindSnapshot, From: "ext", Snapshot: []byte("not a snapshot")}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	eventually(t, 2*time.Second, func() bool {
+		return rec.observed()[MetricSnapshotRejected] > 0
+	}, "undecodable snapshot frame was not counted")
 
 	// Backpressure counters ride the coalescing TCP sender path. Drive one
 	// sender state machine directly — no goroutine, no timing — so the

@@ -85,6 +85,10 @@ const (
 	MetricSnapshotServed = "live.snapshot.served"
 	// MetricSnapshotCatchups counts snapshot catch-up frames ingested.
 	MetricSnapshotCatchups = "live.snapshot.catchups"
+	// MetricSnapshotRejected counts snapshot catch-up frames dropped because
+	// they failed to decode — e.g. a format-1 (gob) snapshot from a peer
+	// still running an older build.
+	MetricSnapshotRejected = "live.snapshot.rejected"
 	// MetricTombstonesGC counts tombstoned revisions collected by the
 	// janitor after their retention expired.
 	MetricTombstonesGC = "live.janitor.tombstones_gc"
@@ -128,6 +132,7 @@ var CounterNames = []string{
 	MetricQueryServed,
 	MetricSnapshotServed,
 	MetricSnapshotCatchups,
+	MetricSnapshotRejected,
 	MetricTombstonesGC,
 	MetricLogCompacted,
 	MetricKeysExpired,

@@ -271,7 +271,7 @@ func TestEmptyAddressNotLearned(t *testing.T) {
 	}
 	u := w.Put("k", []byte("v"))
 	r.handle(wire.Envelope{
-		Kind: wire.KindPush, From: "", Update: wire.FromStore(u),
+		Kind: wire.KindPush, From: "", Update: u,
 		RF: []string{"", "peer-ok"}, T: 0,
 	})
 	// The update itself is still accepted.

@@ -519,12 +519,11 @@ func (r *Replica) PendingSendBytes() (current, peak int64) {
 func (r *Replica) handle(env wire.Envelope) {
 	switch env.Kind {
 	case wire.KindPush:
-		u := env.Update.ToStore()
 		r.inc(MetricPushReceived)
-		pre := r.preApply(u)
+		pre := r.preApply(env.Update)
 		r.run(func(e *engine.Engine[string]) {
 			e.HandlePushApplied(env.From, engine.Message[string]{
-				Kind: engine.KindPush, Update: u, RF: env.RF, T: env.T,
+				Kind: engine.KindPush, Update: env.Update, RF: env.RF, T: env.T,
 			}, pre)
 		})
 	case wire.KindPullReq:
@@ -534,14 +533,15 @@ func (r *Replica) handle(env wire.Envelope) {
 			})
 		})
 	case wire.KindPullResp:
-		updates := make([]store.Update, len(env.Updates))
-		pre := make([]engine.Applied, len(env.Updates))
-		for i := range env.Updates {
-			updates[i] = env.Updates[i].ToStore()
-			res, branches := r.st.ApplyObserved(updates[i])
+		// The decoder reuses env.Updates' backing array; the engine keeps
+		// its own.
+		updates := append([]store.Update(nil), env.Updates...)
+		pre := make([]engine.Applied, len(updates))
+		for i, u := range updates {
+			res, branches := r.st.ApplyObserved(u)
 			pre[i] = engine.Applied{Res: res, Branches: branches}
 			if res != store.Duplicate {
-				_ = r.walAppend(updates[i])
+				_ = r.walAppend(u)
 			}
 		}
 		r.run(func(e *engine.Engine[string]) {
@@ -578,6 +578,7 @@ func (r *Replica) handle(env wire.Envelope) {
 		// retained below its watermark are not rejected as duplicates.
 		updates, wm, err := store.DecodeSnapshot(bytes.NewReader(env.Snapshot))
 		if err != nil {
+			r.inc(MetricSnapshotRejected)
 			return
 		}
 		r.inc(MetricSnapshotCatchups)
@@ -609,7 +610,7 @@ func envelopeFromEngine(from string, m engine.Message[string]) wire.Envelope {
 	switch m.Kind {
 	case engine.KindPush:
 		env.Kind = wire.KindPush
-		env.Update = wire.FromStore(m.Update)
+		env.Update = detach(m.Update)
 		env.RF = m.RF
 		env.T = m.T
 	case engine.KindPullReq:
@@ -617,10 +618,7 @@ func envelopeFromEngine(from string, m engine.Message[string]) wire.Envelope {
 		env.Clock = m.Clock
 	case engine.KindPullResp:
 		env.Kind = wire.KindPullResp
-		env.Updates = make([]wire.Update, len(m.Updates))
-		for i, u := range m.Updates {
-			env.Updates[i] = wire.FromStore(u)
-		}
+		env.Updates = detachAll(m.Updates)
 		env.KnownPeers = m.Peers
 	case engine.KindAck:
 		env.Kind = wire.KindAck
@@ -643,6 +641,24 @@ func envelopeFromEngine(from string, m engine.Message[string]) wire.Envelope {
 		env.KnownPeers = m.Peers
 	}
 	return env
+}
+
+// detach returns u with a private copy of its value, for an envelope:
+// envelopes may outlive the send on transport queues, and the store's log
+// entries must stay immutable. The version history is shared — histories
+// are append-only (version.History.Append is copy-on-write).
+func detach(u store.Update) store.Update {
+	u.Value = append([]byte(nil), u.Value...)
+	return u
+}
+
+// detachAll returns detached copies of updates in a fresh slice.
+func detachAll(updates []store.Update) []store.Update {
+	out := make([]store.Update, len(updates))
+	for i, u := range updates {
+		out[i] = detach(u)
+	}
+	return out
 }
 
 // preApply offers one pushed update to the store on the calling (connection

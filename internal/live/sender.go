@@ -359,7 +359,7 @@ func (s *peerSender) render(p *pendingDelta) []wire.Envelope {
 			rf, _ := r.eng.RenderPush(ref)
 			envs = append(envs, wire.Envelope{
 				From: r.addr, Kind: wire.KindPush,
-				Update: wire.FromStore(e.u), RF: rf, T: e.t,
+				Update: detach(e.u), RF: rf, T: e.t,
 			})
 			pushes++
 		}
@@ -386,13 +386,9 @@ func (s *peerSender) render(p *pendingDelta) []wire.Envelope {
 				})
 				r.inc(MetricSnapshotServed)
 			} else {
-				wus := make([]wire.Update, len(updates))
-				for i, u := range updates {
-					wus[i] = wire.FromStore(u)
-				}
 				envs = append(envs, wire.Envelope{
 					From: r.addr, Kind: wire.KindPullResp,
-					Updates: wus, KnownPeers: p.pullRespPeers,
+					Updates: detachAll(updates), KnownPeers: p.pullRespPeers,
 				})
 				r.inc(MetricPullServed)
 			}

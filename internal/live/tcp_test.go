@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wire"
@@ -143,7 +144,7 @@ func TestTCPTruncatedFrameDropsConnCleanly(t *testing.T) {
 	}
 	full, err := wire.AppendFrame(nil, &wire.Envelope{
 		Kind: wire.KindPush, From: "liar",
-		Update: wire.Update{Origin: "o", Seq: 1, Key: "k", Value: []byte("v")},
+		Update: store.Update{Origin: "o", Seq: 1, Key: "k", Value: []byte("v")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,22 +201,25 @@ func TestWireEncodeDecode(t *testing.T) {
 			"x": 3, "y": 9,
 		},
 	}
-	raw, err := wire.Encode(env)
+	raw, err := wire.EncodeBinary(&env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := wire.Decode(raw)
+	back, err := wire.DecodeBinary(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Kind != env.Kind || back.From != env.From || back.Clock["y"] != 9 {
 		t.Fatalf("round trip mismatch: %+v", back)
 	}
-	if _, err := wire.Decode([]byte("garbage")); err == nil {
+	if _, err := wire.DecodeBinary([]byte("garbage")); err == nil {
 		t.Fatal("garbage decoded")
 	}
 }
 
+// TestWireUpdateConversion pins what a published update looks like after
+// the trip through a push envelope: identical on the far side, and the
+// envelope's value is a copy, never the store's immutable log entry.
 func TestWireUpdateConversion(t *testing.T) {
 	hub := NewHub()
 	tr, err := hub.Attach(fmt.Sprintf("w-%p", t))
@@ -228,11 +232,25 @@ func TestWireUpdateConversion(t *testing.T) {
 	}
 	u, _ := r.Publish("k", []byte("v"))
 
-	back := wire.FromStore(u).ToStore()
-	if back.ID() != u.ID() || string(back.Value) != string(u.Value) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", back, u)
+	env := envelopeFromEngine(r.Addr(), engine.Message[string]{Kind: engine.KindPush, Update: u})
+	env.Update.Value[0] = 'X'
+	if u.Value[0] == 'X' {
+		t.Fatal("push envelope aliases the store's value")
 	}
-	if len(back.Version) != len(u.Version) || back.Version[0] != u.Version[0] {
+	env.Update.Value[0] = 'v'
+	raw, err := wire.EncodeBinary(&env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := wire.DecodeBinary(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := back.Update
+	if got.ID() != u.ID() || string(got.Value) != string(u.Value) || !got.Stamp.Equal(u.Stamp) {
+		t.Fatalf("round trip mismatch: %+v vs %+v", got, u)
+	}
+	if len(got.Version) != len(u.Version) || got.Version[0] != u.Version[0] {
 		t.Fatal("version history corrupted")
 	}
 }

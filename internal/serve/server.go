@@ -12,10 +12,12 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,6 +28,7 @@ import (
 
 	pushpull "github.com/p2pgossip/update"
 	"github.com/p2pgossip/update/internal/metrics"
+	"github.com/p2pgossip/update/internal/wire"
 )
 
 // HTTP counter-name prefixes reported into the node's metrics registry.
@@ -343,7 +346,24 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "write snapshot: %v", err)
 		}
 	case http.MethodPut, http.MethodPost:
-		if err := s.node.RestoreSnapshot(r.Body); err != nil {
+		// A snapshot larger than one catch-up frame could never have
+		// travelled between replicas either.
+		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxFrameBytes))
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, status, "restore snapshot: read body: %v", err)
+			return
+		}
+		err = s.node.RestoreSnapshot(bytes.NewReader(raw))
+		switch {
+		case errors.Is(err, pushpull.ErrWAL):
+			writeError(w, http.StatusInternalServerError, "restore snapshot: %v", err)
+			return
+		case err != nil:
 			writeError(w, http.StatusBadRequest, "restore snapshot: %v", err)
 			return
 		}

@@ -16,6 +16,7 @@ import (
 
 	pushpull "github.com/p2pgossip/update"
 	"github.com/p2pgossip/update/internal/metrics"
+	"github.com/p2pgossip/update/internal/wire"
 )
 
 // testEdge is one node with its HTTP edge mounted on an httptest server.
@@ -424,5 +425,92 @@ func TestWatchSSE(t *testing.T) {
 func TestServerRequiresNode(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New without a node succeeded")
+	}
+}
+
+// TestSnapshotRestoreIsDurableOnWAL: PUT /v1/snapshot on a WAL-backed node
+// must survive a restart. Without a checkpoint after the restore, recovery
+// would replay the discarded pre-restore records and lose the restored
+// state.
+func TestSnapshotRestoreIsDurableOnWAL(t *testing.T) {
+	ctx := context.Background()
+	src := newEdges(t, 1)[0]
+	if _, err := src.node.Publish(ctx, "restored", []byte("yes")); err != nil {
+		t.Fatal(err)
+	}
+	_, snap := src.do(t, http.MethodGet, "/v1/snapshot", nil)
+
+	dir := t.TempDir()
+	open := func() (*pushpull.Node, *pushpull.WAL) {
+		t.Helper()
+		l, err := pushpull.OpenWAL(pushpull.WALOptions{Dir: dir, Policy: pushpull.WALSyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := pushpull.Open(pushpull.WithHub(pushpull.NewHub(), "durable"), pushpull.WithWAL(l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node, l
+	}
+	node, l := open()
+	if _, err := node.Publish(ctx, "discarded", []byte("pre-restore")); err != nil {
+		t.Fatal(err)
+	}
+	reg := pushpull.NewMetrics()
+	srv, err := New(Config{Node: node, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	edge := &testEdge{node: node, reg: reg, srv: srv, http: ts}
+	if resp, body := edge.do(t, http.MethodPut, "/v1/snapshot", snap); resp.StatusCode != http.StatusOK {
+		t.Fatalf("restore: %d %s", resp.StatusCode, body)
+	}
+	ts.Close()
+	// Close checkpoints nothing: the reopen sees exactly what a crash
+	// right after the acknowledged restore would leave on disk.
+	if err := node.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	node, l = open()
+	defer l.Close()
+	defer node.Close(ctx)
+	if rev, ok := node.Get("restored"); !ok || string(rev.Value) != "yes" {
+		t.Fatalf("restored key lost across restart: %+v %v", rev, ok)
+	}
+	if _, ok := node.Get("discarded"); ok {
+		t.Fatal("pre-restore write resurrected by WAL replay")
+	}
+}
+
+// zeros is an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestSnapshotRestoreBodyIsBounded: a restore body larger than one
+// catch-up frame is refused with 413 after reading at most the cap.
+func TestSnapshotRestoreBodyIsBounded(t *testing.T) {
+	edge := newEdges(t, 1)[0]
+	body := io.LimitReader(zeros{}, wire.MaxFrameBytes+1)
+	req, err := http.NewRequest(http.MethodPut, edge.url("/v1/snapshot"), body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized restore: status %d, want 413", resp.StatusCode)
 	}
 }

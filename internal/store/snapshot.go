@@ -1,7 +1,9 @@
 package store
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -10,78 +12,54 @@ import (
 	"github.com/p2pgossip/update/internal/version"
 )
 
-// snapshotUpdate is the serialised form of one logged update. Version ids
-// travel as raw byte slices to keep the gob schema independent of the
-// version.ID array length.
-type snapshotUpdate struct {
-	Origin  string
-	Seq     uint64
-	Key     string
-	Value   []byte
-	Delete  bool
-	Version [][]byte
-	Stamp   int64
-}
+// A snapshot is the complete resident update log plus the per-origin
+// compacted watermark, in the codec of codec.go:
+//
+//	snapshot = magic "PPSN" | format u8 | clock compacted |
+//	           uvarint n | n × update
+//
+// Items, branches and the vector clock are derived state — replaying the
+// log through Apply and adopting the watermark reconstructs them exactly
+// (Apply is order-independent and idempotent, which the property tests
+// assert). The watermark carries only origins with a non-zero frontier, so
+// an uncompacted store's watermark is the empty clock.
+const snapshotMagic = "PPSN"
 
-// snapshotFrontier is one origin's compacted watermark in serialised form.
-type snapshotFrontier struct {
-	Origin string
-	Seq    uint64
-}
+// snapshotFormatVersion is the format byte after the magic. Format 1 was
+// an encoding/gob stream; decoders reject every format they do not speak.
+const snapshotFormatVersion = 2
 
-// snapshot is the on-disk form of a store: the complete resident update log
-// plus the per-origin compacted watermark. Items, branches and the vector
-// clock are derived state — replaying the log through Apply and adopting the
-// watermark reconstructs them exactly (Apply is order-independent and
-// idempotent, which the property tests assert). Compacted is nil for an
-// uncompacted store, so its snapshot bytes are unchanged from format 1
-// streams without the field.
-type snapshot struct {
-	FormatVersion int
-	Updates       []snapshotUpdate
-	Compacted     []snapshotFrontier
-}
-
-// snapshotFormatVersion guards against reading snapshots from incompatible
-// future layouts.
-const snapshotFormatVersion = 1
+// ErrLegacySnapshot reports a format-1 (encoding/gob) snapshot or WAL
+// checkpoint. There is no in-place converter: the node starts empty and
+// anti-entropy refills it.
+var ErrLegacySnapshot = errors.New("store: legacy gob snapshot (format 1) is no longer readable; " +
+	"move it (or the WAL directory holding it) aside and restart empty so anti-entropy and " +
+	"snapshot catch-up refill the node (docs/OPERATIONS.md, \"Migrating gob snapshots/checkpoints\")")
 
 // encodeSnapshot serialises a complete, canonically ordered update log to w.
 // Store and Sharded both feed it MissingFor(nil) and their compacted
-// watermark, whose (origin asc) order is independent of internal layout — so
-// the bytes a snapshot produces depend only on the logical contents, never
-// on shard count.
+// watermark, whose encoding is canonical — so the bytes a snapshot produces
+// depend only on the logical contents, never on shard count. compacted is
+// the caller's own copy: its zero entries are dropped in place.
 func encodeSnapshot(w io.Writer, updates []Update, compacted version.Clock) error {
-	snap := snapshot{
-		FormatVersion: snapshotFormatVersion,
-		Updates:       make([]snapshotUpdate, len(updates)),
-	}
-	for i, u := range updates {
-		versionBytes := make([][]byte, len(u.Version))
-		for j, id := range u.Version {
-			id := id
-			versionBytes[j] = id[:]
-		}
-		snap.Updates[i] = snapshotUpdate{
-			Origin: u.Origin, Seq: u.Seq, Key: u.Key, Value: u.Value,
-			Delete: u.Delete, Version: versionBytes, Stamp: u.Stamp.UnixNano(),
+	for origin, seq := range compacted {
+		if seq == 0 {
+			delete(compacted, origin)
 		}
 	}
-	if len(compacted) > 0 {
-		snap.Compacted = make([]snapshotFrontier, 0, len(compacted))
-		for origin, seq := range compacted {
-			if seq > 0 {
-				snap.Compacted = append(snap.Compacted, snapshotFrontier{Origin: origin, Seq: seq})
-			}
-		}
-		sort.Slice(snap.Compacted, func(i, j int) bool {
-			return snap.Compacted[i].Origin < snap.Compacted[j].Origin
-		})
-		if len(snap.Compacted) == 0 {
-			snap.Compacted = nil
-		}
+	size := len(snapshotMagic) + 1 + ClockSize(compacted) + UvarintSize(uint64(len(updates)))
+	for _, u := range updates {
+		size += UpdateSize(u)
 	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
+	buf := make([]byte, 0, size)
+	buf = append(buf, snapshotMagic...)
+	buf = append(buf, snapshotFormatVersion)
+	buf = AppendClock(buf, compacted)
+	buf = binary.AppendUvarint(buf, uint64(len(updates)))
+	for _, u := range updates {
+		buf = AppendUpdate(buf, u)
+	}
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("store: write snapshot: %w", err)
 	}
 	return nil
@@ -90,36 +68,67 @@ func encodeSnapshot(w io.Writer, updates []Update, compacted version.Clock) erro
 // decodeSnapshot reads a snapshot stream back into its update log and
 // compacted watermark (nil when the snapshot was uncompacted).
 func decodeSnapshot(r io.Reader) ([]Update, version.Clock, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, nil, fmt.Errorf("store: read snapshot: %w", err)
 	}
-	if snap.FormatVersion != snapshotFormatVersion {
-		return nil, nil, fmt.Errorf("store: snapshot format %d unsupported (want %d)",
-			snap.FormatVersion, snapshotFormatVersion)
+	updates, compacted, err := decodeSnapshotBytes(data)
+	if err != nil && !errors.Is(err, ErrLegacySnapshot) {
+		err = fmt.Errorf("store: read snapshot: %w", err)
 	}
-	updates := make([]Update, len(snap.Updates))
-	for i, su := range snap.Updates {
-		u := Update{
-			Origin: su.Origin, Seq: su.Seq, Key: su.Key, Value: su.Value,
-			Delete: su.Delete, Stamp: time.Unix(0, su.Stamp),
+	return updates, compacted, err
+}
+
+// decodeSnapshotBytes decodes one snapshot. Like every decoder of the
+// codec it is canonical: whatever it accepts, encodeSnapshot reproduces
+// byte for byte.
+func decodeSnapshotBytes(data []byte) ([]Update, version.Clock, error) {
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+		// A gob stream opens with the definition of the snapshot struct,
+		// whose first field name makes format 1 recognisable.
+		if bytes.Contains(data[:min(len(data), 64)], []byte("FormatVersion")) {
+			return nil, nil, ErrLegacySnapshot
 		}
-		for _, raw := range su.Version {
-			if len(raw) != version.IDSize {
-				return nil, nil, fmt.Errorf("store: snapshot has version id of %d bytes", len(raw))
-			}
-			var id version.ID
-			copy(id[:], raw)
-			u.Version = append(u.Version, id)
-		}
-		updates[i] = u
+		return nil, nil, errors.New("not a snapshot (bad magic)")
 	}
-	var compacted version.Clock
-	if len(snap.Compacted) > 0 {
-		compacted = version.NewClock()
-		for _, f := range snap.Compacted {
-			compacted[f.Origin] = f.Seq
+	d := NewDecoder(data[len(snapshotMagic):])
+	format, err := d.Byte()
+	if err != nil {
+		return nil, nil, err
+	}
+	if format != snapshotFormatVersion {
+		return nil, nil, fmt.Errorf("snapshot format %d unsupported (want %d)", format, snapshotFormatVersion)
+	}
+	compacted, err := d.Clock(nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	for origin, seq := range compacted {
+		if seq == 0 {
+			return nil, nil, fmt.Errorf("zero compaction frontier for %q", origin)
 		}
+	}
+	if len(compacted) == 0 {
+		compacted = nil
+	}
+	n, err := d.Count(UpdateMinSize)
+	if err != nil {
+		return nil, nil, err
+	}
+	updates := make([]Update, 0, min(n, MaxPrealloc))
+	var prev Update
+	for i := uint64(0); i < n; i++ {
+		// The previous update's origin and key seed the decoder's string
+		// caches: a snapshot lists each origin's updates contiguously.
+		u := Update{Origin: prev.Origin, Key: prev.Key}
+		if err := d.Update(&u); err != nil {
+			return nil, nil, err
+		}
+		updates = append(updates, u)
+		prev = u
+	}
+	if err := d.End("snapshot"); err != nil {
+		return nil, nil, err
 	}
 	return updates, compacted, nil
 }

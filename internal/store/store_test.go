@@ -12,7 +12,7 @@ import (
 	"github.com/p2pgossip/update/internal/version"
 )
 
-func testWriter(t *testing.T, origin string, st *Store, seed int64) *Writer {
+func testWriter(t testing.TB, origin string, st *Store, seed int64) *Writer {
 	t.Helper()
 	clock := time.Unix(1_000_000, 0)
 	now := func() time.Time {

@@ -7,7 +7,7 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/p2pgossip/update/internal/wire"
+	"github.com/p2pgossip/update/internal/store"
 )
 
 // oracleScan is an independent reimplementation of the recovery contract,
@@ -52,13 +52,13 @@ func oracleScan(data []byte) (recs []Record, skipped int) {
 func decodeOracle(body []byte) (Record, bool) {
 	switch RecordKind(body[0]) {
 	case RecordUpdate:
-		u, err := wire.DecodeStoreUpdate(body[1:])
+		u, err := store.DecodeUpdate(body[1:])
 		if err != nil {
 			return Record{}, false
 		}
 		return Record{Kind: RecordUpdate, Update: u}, true
 	case RecordFrontier:
-		c, err := wire.DecodeClock(body[1:])
+		c, err := store.DecodeClock(body[1:])
 		if err != nil {
 			return Record{}, false
 		}

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/p2pgossip/update/internal/wire"
+	"github.com/p2pgossip/update/internal/store"
 )
 
 // buildLog writes n records into a fresh single-segment log and returns the
@@ -276,7 +276,7 @@ func TestRecoverUnknownKindSkipped(t *testing.T) {
 func TestRecoverUndecodableBodySkipped(t *testing.T) {
 	dir := t.TempDir()
 	path := buildLog(t, dir, 2)
-	body := append([]byte{byte(RecordUpdate)}, wire.AppendStoreUpdate(nil, testUpdate(9))...)
+	body := append([]byte{byte(RecordUpdate)}, store.AppendUpdate(nil, testUpdate(9))...)
 	body = append(body, 0xde, 0xad) // stray bytes after a valid update
 	appendRaw(t, path, frameRecord(body))
 

@@ -13,7 +13,7 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/p2pgossip/update/internal/wire"
+	"github.com/p2pgossip/update/internal/store"
 )
 
 // Segment file framing constants.
@@ -211,13 +211,13 @@ func decodeRecord(body []byte) (Record, bool) {
 	payload := body[1:]
 	switch kind {
 	case RecordUpdate:
-		u, err := wire.DecodeStoreUpdate(payload)
+		u, err := store.DecodeUpdate(payload)
 		if err != nil {
 			return Record{}, false
 		}
 		return Record{Kind: RecordUpdate, Update: u}, true
 	case RecordFrontier:
-		c, err := wire.DecodeClock(payload)
+		c, err := store.DecodeClock(payload)
 		if err != nil {
 			return Record{}, false
 		}

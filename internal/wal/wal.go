@@ -9,8 +9,8 @@
 //	len uint32 | crc uint32 | body
 //
 // with a CRC32-Castagnoli checksum over the body, and the body reuses the
-// internal/wire binary codec (a logged update is the same bytes it
-// travelled as). Records accumulate in numbered segment files
+// store codec (internal/store/codec.go), so a logged update is the same
+// bytes it travelled as. Records accumulate in numbered segment files
 // (wal-00000001.seg, wal-00000002.seg, ...), each starting with an 8-byte
 // magic header; a segment is sealed — fsynced, closed, never written again
 // — before its successor is created, so only the newest segment can ever
@@ -47,7 +47,6 @@ import (
 
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
-	"github.com/p2pgossip/update/internal/wire"
 )
 
 // SyncPolicy selects when appended records are fsynced to stable storage.
@@ -229,9 +228,9 @@ type RecordKind byte
 
 // The record kinds.
 const (
-	// RecordUpdate is a store update (wire.AppendStoreUpdate body).
+	// RecordUpdate is a store update (store.AppendUpdate body).
 	RecordUpdate RecordKind = 1
-	// RecordFrontier is an adopted compaction frontier (wire.AppendClock
+	// RecordFrontier is an adopted compaction frontier (store.AppendClock
 	// body), logged when a snapshot catch-up moves the clock wholesale.
 	RecordFrontier RecordKind = 2
 )
@@ -278,6 +277,12 @@ type Log struct {
 
 	// closed flips once in Close; read lock-free by sync waiters.
 	closed atomic.Bool
+
+	// ckptMu serializes checkpoints from seal through snapshot rename and
+	// prune. Without it an older checkpoint could rename its snapshot over
+	// a newer one after the newer one pruned the segments the older one
+	// still needs.
+	ckptMu sync.Mutex
 
 	// mu guards the append state: the active file, sizes, sequence
 	// numbers, and the sealed-segment list.
@@ -434,7 +439,7 @@ func (l *Log) recoverSegments(idxs []uint64, strict bool) error {
 func (l *Log) Append(u store.Update) error {
 	return l.appendRecord(func(dst []byte) []byte {
 		dst = append(dst, byte(RecordUpdate))
-		return wire.AppendStoreUpdate(dst, u)
+		return store.AppendUpdate(dst, u)
 	})
 }
 
@@ -443,7 +448,7 @@ func (l *Log) Append(u store.Update) error {
 func (l *Log) AppendFrontier(c version.Clock) error {
 	return l.appendRecord(func(dst []byte) []byte {
 		dst = append(dst, byte(RecordFrontier))
-		return wire.AppendClock(dst, c)
+		return store.AppendClock(dst, c)
 	})
 }
 
@@ -662,7 +667,7 @@ func (l *Log) startSegment(idx uint64) error {
 // every segment older than the seal. The snapshot is taken after the seal,
 // so it necessarily covers every record in the pruned segments (records are
 // appended only after their store apply completed). Returns how many
-// segments were pruned.
+// segments were pruned. Concurrent checkpoints run one at a time.
 func (l *Log) Checkpoint(write func(io.Writer) error) (int, error) {
 	pruned, err := l.checkpoint(write)
 	if err != nil {
@@ -674,6 +679,8 @@ func (l *Log) Checkpoint(write func(io.Writer) error) (int, error) {
 }
 
 func (l *Log) checkpoint(write func(io.Writer) error) (int, error) {
+	l.ckptMu.Lock()
+	defer l.ckptMu.Unlock()
 	l.mu.Lock()
 	if l.closed.Load() {
 		l.mu.Unlock()

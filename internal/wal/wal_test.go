@@ -168,6 +168,56 @@ func TestCheckpointPrunesAndBoundsReplay(t *testing.T) {
 	}
 }
 
+// TestConcurrentCheckpointsKeepNewestSnapshot: a checkpoint that starts
+// while another is still writing its snapshot must not finish first. If it
+// did, the older snapshot would be renamed over the newer one after the
+// newer one pruned the segments the older snapshot still needs.
+func TestConcurrentCheckpointsKeepNewestSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, Policy: SyncNever})
+	defer l.Close()
+	appendN(t, l, 0, 3)
+
+	writing, release := make(chan struct{}), make(chan struct{})
+	older := make(chan error, 1)
+	go func() {
+		_, err := l.Checkpoint(func(w io.Writer) error {
+			close(writing)
+			<-release
+			_, err := io.WriteString(w, "older")
+			return err
+		})
+		older <- err
+	}()
+	<-writing
+	appendN(t, l, 3, 2)
+	newer := make(chan error, 1)
+	go func() {
+		_, err := l.Checkpoint(func(w io.Writer) error {
+			_, err := io.WriteString(w, "newer")
+			return err
+		})
+		newer <- err
+	}()
+	// Give the newer checkpoint every chance to overtake the stalled one.
+	select {
+	case err := <-newer:
+		t.Fatalf("second checkpoint finished while the first was still writing (err %v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-older; err != nil {
+		t.Fatalf("first Checkpoint: %v", err)
+	}
+	if err := <-newer; err != nil {
+		t.Fatalf("second Checkpoint: %v", err)
+	}
+	got, err := os.ReadFile(l.CheckpointPath())
+	if err != nil || string(got) != "newer" {
+		t.Fatalf("checkpoint content = %q, %v; want the newer snapshot", got, err)
+	}
+}
+
 // countingMetrics is a test metrics sink.
 type countingMetrics struct {
 	mu sync.Mutex

@@ -3,7 +3,8 @@ package wire
 // Benchmarks for the envelope codec — the per-message CPU cost under any
 // transport. BenchmarkEnvelopeEncode/Decode measure the binary codec the
 // transports speak (buffer and envelope reuse, as the TCP paths run it);
-// the Gob variants measure the compat/reference codec for comparison.
+// the Gob variants measure the test-only reference codec (gob_test.go) as a
+// noise control.
 
 import (
 	"testing"
@@ -20,7 +21,7 @@ func benchEnvelope() Envelope {
 	return Envelope{
 		Kind:   KindPush,
 		From:   "127.0.0.1:9000",
-		Update: FromStore(u),
+		Update: u,
 		RF:     []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"},
 		T:      2,
 	}
@@ -61,21 +62,21 @@ func BenchmarkEnvelopeEncodeGob(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Encode(env); err != nil {
+		if _, err := gobEncode(env); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkEnvelopeDecodeGob(b *testing.B) {
-	raw, err := Encode(benchEnvelope())
+	raw, err := gobEncode(benchEnvelope())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(raw); err != nil {
+		if _, err := gobDecode(raw); err != nil {
 			b.Fatal(err)
 		}
 	}

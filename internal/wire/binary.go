@@ -3,26 +3,18 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
-	"sort"
 
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
 )
 
 // This file is the hand-rolled binary envelope codec — the format the
-// transports actually speak. Layout (all multi-byte integers big-endian,
-// uvarint is the unsigned LEB128 of encoding/binary):
+// transports actually speak. Layout (all multi-byte integers big-endian;
+// str, blob, i64, hist, clock and update are the store codec's encodings,
+// internal/store/codec.go):
 //
 //	frame    = len u32 | body                    len = length of body
 //	body     = ver u8 | kind u8 | from str | payload
-//	str      = uvarint n | n bytes
-//	blob     = uvarint n | n bytes
-//	i64      = 8 bytes big-endian (two's complement)
-//	hist     = uvarint n | n × 16 bytes          version identifiers
-//	clock    = uvarint n | n × (str origin, uvarint count)
-//	update   = str origin | uvarint seq | str key | blob value |
-//	           flags u8 (bit0 = delete) | hist version | i64 stamp
 //
 // Per-kind payloads:
 //
@@ -52,9 +44,8 @@ const BinaryVersion = 1
 // frame is the From address and the kind-specific payload.
 const FrameOverhead = 6
 
-// flag bits of the update and query-response flag bytes.
+// flag bits of the query-response flag byte.
 const (
-	flagDelete    = 1 << 0
 	flagFound     = 1 << 0
 	flagConfident = 1 << 1
 )
@@ -65,148 +56,51 @@ const (
 const maxPushRound = 1 << 30
 
 // --- Sizes -------------------------------------------------------------
-//
-// The size functions mirror the append functions exactly; they are exported
-// so the simulator's byte accounting (internal/gossip) charges the real
-// encoded size without building envelopes.
 
-// UvarintSize returns the encoded length of x as a uvarint.
-func UvarintSize(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// StringSize returns the encoded length of a str field.
-func StringSize(s string) int { return UvarintSize(uint64(len(s))) + len(s) }
-
-// BlobSize returns the encoded length of a blob field.
-func BlobSize(b []byte) int { return UvarintSize(uint64(len(b))) + len(b) }
-
-// HistorySize returns the encoded length of a version history with n
-// entries.
-func HistorySize(n int) int { return UvarintSize(uint64(n)) + n*version.IDSize }
-
-// ClockSize returns the encoded length of a vector clock.
-func ClockSize(c version.Clock) int {
-	n := UvarintSize(uint64(len(c)))
-	for origin, count := range c {
-		n += StringSize(origin) + UvarintSize(count)
+func strsSize(ss []string) int {
+	n := store.UvarintSize(uint64(len(ss)))
+	for _, s := range ss {
+		n += store.StringSize(s)
 	}
 	return n
-}
-
-// StoreUpdateSize returns the encoded length of one update record, computed
-// from the store form directly.
-func StoreUpdateSize(u store.Update) int {
-	return StringSize(u.Origin) + UvarintSize(u.Seq) + StringSize(u.Key) +
-		BlobSize(u.Value) + 1 + HistorySize(len(u.Version)) + 8
-}
-
-func updateSize(u *Update) int {
-	return StringSize(u.Origin) + UvarintSize(u.Seq) + StringSize(u.Key) +
-		BlobSize(u.Value) + 1 + HistorySize(len(u.Version)) + 8
 }
 
 // EncodedSize returns the total frame length — FrameOverhead plus body —
 // the binary codec produces for env.
 func EncodedSize(env *Envelope) int {
-	n := FrameOverhead + StringSize(env.From)
+	n := FrameOverhead + store.StringSize(env.From)
 	switch env.Kind {
 	case KindPush:
-		n += updateSize(&env.Update) + UvarintSize(uint64(len(env.RF)))
-		for _, addr := range env.RF {
-			n += StringSize(addr)
-		}
-		n += UvarintSize(uint64(env.T))
+		n += store.UpdateSize(env.Update) + strsSize(env.RF) + store.UvarintSize(uint64(env.T))
 	case KindPullReq:
-		n += ClockSize(env.Clock)
+		n += store.ClockSize(env.Clock)
 	case KindPullResp:
-		n += UvarintSize(uint64(len(env.Updates)))
+		n += store.UvarintSize(uint64(len(env.Updates)))
 		for i := range env.Updates {
-			n += updateSize(&env.Updates[i])
+			n += store.UpdateSize(env.Updates[i])
 		}
-		n += UvarintSize(uint64(len(env.KnownPeers)))
-		for _, addr := range env.KnownPeers {
-			n += StringSize(addr)
-		}
+		n += strsSize(env.KnownPeers)
 	case KindAck:
-		n += StringSize(env.UpdateRef.Origin) + UvarintSize(env.UpdateRef.Seq)
+		n += store.StringSize(env.UpdateRef.Origin) + store.UvarintSize(env.UpdateRef.Seq)
 	case KindQuery:
-		n += 8 + StringSize(env.Key)
+		n += 8 + store.StringSize(env.Key)
 	case KindQueryResp:
-		n += 8 + StringSize(env.Key) + 1 + BlobSize(env.Value) +
-			HistorySize(len(env.Version))
+		n += 8 + store.StringSize(env.Key) + 1 + store.BlobSize(env.Value) +
+			store.HistorySize(len(env.Version))
 	case KindSnapshot:
-		n += BlobSize(env.Snapshot) + UvarintSize(uint64(len(env.KnownPeers)))
-		for _, addr := range env.KnownPeers {
-			n += StringSize(addr)
-		}
+		n += store.BlobSize(env.Snapshot) + strsSize(env.KnownPeers)
 	}
 	return n
 }
 
 // --- Encoding ----------------------------------------------------------
 
-func appendUvarint(dst []byte, x uint64) []byte { return binary.AppendUvarint(dst, x) }
-
-func appendString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendBlob(dst []byte, b []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-func appendI64(dst []byte, x int64) []byte {
-	return binary.BigEndian.AppendUint64(dst, uint64(x))
-}
-
-func appendHistory(dst []byte, h version.History) []byte {
-	dst = appendUvarint(dst, uint64(len(h)))
-	for i := range h {
-		dst = append(dst, h[i][:]...)
+func appendStrs(dst []byte, ss []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ss)))
+	for _, s := range ss {
+		dst = store.AppendString(dst, s)
 	}
 	return dst
-}
-
-// appendClock encodes a vector clock in sorted origin order. The sort makes
-// the encoding canonical — one byte string per clock — so frames are
-// reproducible and the decoder can enforce uniqueness for free.
-func appendClock(dst []byte, c version.Clock) []byte {
-	dst = appendUvarint(dst, uint64(len(c)))
-	if len(c) == 0 {
-		return dst
-	}
-	if len(c) == 1 {
-		for origin, count := range c {
-			dst = appendString(dst, origin)
-			dst = appendUvarint(dst, count)
-		}
-		return dst
-	}
-	origins := make([]string, 0, len(c))
-	for origin := range c {
-		origins = append(origins, origin)
-	}
-	sort.Strings(origins)
-	for _, origin := range origins {
-		dst = appendString(dst, origin)
-		dst = appendUvarint(dst, c[origin])
-	}
-	return dst
-}
-
-func appendUpdate(dst []byte, u *Update) []byte {
-	dst = appendString(dst, u.Origin)
-	dst = appendUvarint(dst, u.Seq)
-	dst = appendString(dst, u.Key)
-	dst = appendBlob(dst, u.Value)
-	var flags byte
-	if u.Delete {
-		flags |= flagDelete
-	}
-	dst = append(dst, flags)
-	dst = appendHistory(dst, u.Version)
-	return appendI64(dst, u.Stamp)
 }
 
 // AppendBody appends the binary body (format version, kind, from, payload —
@@ -220,35 +114,29 @@ func AppendBody(dst []byte, env *Envelope) ([]byte, error) {
 		return dst, fmt.Errorf("wire: push round %d out of range", env.T)
 	}
 	dst = append(dst, BinaryVersion, byte(env.Kind))
-	dst = appendString(dst, env.From)
+	dst = store.AppendString(dst, env.From)
 	switch env.Kind {
 	case KindPush:
-		dst = appendUpdate(dst, &env.Update)
-		dst = appendUvarint(dst, uint64(len(env.RF)))
-		for _, addr := range env.RF {
-			dst = appendString(dst, addr)
-		}
-		dst = appendUvarint(dst, uint64(env.T))
+		dst = store.AppendUpdate(dst, env.Update)
+		dst = appendStrs(dst, env.RF)
+		dst = binary.AppendUvarint(dst, uint64(env.T))
 	case KindPullReq:
-		dst = appendClock(dst, env.Clock)
+		dst = store.AppendClock(dst, env.Clock)
 	case KindPullResp:
-		dst = appendUvarint(dst, uint64(len(env.Updates)))
+		dst = binary.AppendUvarint(dst, uint64(len(env.Updates)))
 		for i := range env.Updates {
-			dst = appendUpdate(dst, &env.Updates[i])
+			dst = store.AppendUpdate(dst, env.Updates[i])
 		}
-		dst = appendUvarint(dst, uint64(len(env.KnownPeers)))
-		for _, addr := range env.KnownPeers {
-			dst = appendString(dst, addr)
-		}
+		dst = appendStrs(dst, env.KnownPeers)
 	case KindAck:
-		dst = appendString(dst, env.UpdateRef.Origin)
-		dst = appendUvarint(dst, env.UpdateRef.Seq)
+		dst = store.AppendString(dst, env.UpdateRef.Origin)
+		dst = binary.AppendUvarint(dst, env.UpdateRef.Seq)
 	case KindQuery:
-		dst = appendI64(dst, env.QID)
-		dst = appendString(dst, env.Key)
+		dst = store.AppendI64(dst, env.QID)
+		dst = store.AppendString(dst, env.Key)
 	case KindQueryResp:
-		dst = appendI64(dst, env.QID)
-		dst = appendString(dst, env.Key)
+		dst = store.AppendI64(dst, env.QID)
+		dst = store.AppendString(dst, env.Key)
 		var flags byte
 		if env.Found {
 			flags |= flagFound
@@ -257,14 +145,11 @@ func AppendBody(dst []byte, env *Envelope) ([]byte, error) {
 			flags |= flagConfident
 		}
 		dst = append(dst, flags)
-		dst = appendBlob(dst, env.Value)
-		dst = appendHistory(dst, env.Version)
+		dst = store.AppendBlob(dst, env.Value)
+		dst = store.AppendHistory(dst, env.Version)
 	case KindSnapshot:
-		dst = appendBlob(dst, env.Snapshot)
-		dst = appendUvarint(dst, uint64(len(env.KnownPeers)))
-		for _, addr := range env.KnownPeers {
-			dst = appendString(dst, addr)
-		}
+		dst = store.AppendBlob(dst, env.Snapshot)
+		dst = appendStrs(dst, env.KnownPeers)
 	}
 	return dst, nil
 }
@@ -289,241 +174,25 @@ func AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
 
 // --- Decoding ----------------------------------------------------------
 
-// errShort reports a field running past the end of the frame.
-var errShort = fmt.Errorf("wire: truncated envelope body")
+// maxReusedEntries caps the container capacity a decode scratch retains
+// between frames, so one legitimately huge frame (up to MaxFrameBytes) is
+// not pinned for the connection's lifetime. Count-driven pre-allocation is
+// capped by store.MaxPrealloc.
+const maxReusedEntries = 4096
 
-// binReader is a bounds-checked cursor over one frame body.
-type binReader struct {
-	data []byte
-	off  int
-}
-
-func (r *binReader) remaining() int { return len(r.data) - r.off }
-
-func (r *binReader) byte() (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, errShort
-	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *binReader) uvarint() (uint64, error) {
-	x, n := binary.Uvarint(r.data[r.off:])
-	// Rejecting non-minimal encodings keeps the codec canonical: every
-	// envelope has exactly one valid byte string.
-	if n <= 0 || n != UvarintSize(x) {
-		return 0, fmt.Errorf("wire: bad uvarint at offset %d", r.off)
-	}
-	r.off += n
-	return x, nil
-}
-
-// take returns the next n raw bytes, aliasing the frame buffer.
-func (r *binReader) take(n int) ([]byte, error) {
-	if n < 0 || n > r.remaining() {
-		return nil, errShort
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *binReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.remaining()) {
-		return "", errShort
-	}
-	b, _ := r.take(int(n))
-	return string(b), nil
-}
-
-// strCached is str with a single-entry cache: when the bytes match prev the
-// existing string is reused instead of allocating. A connection's frames
-// repeat the same sender address, so the From field hits this on every
-// frame after the first.
-func (r *binReader) strCached(prev string) (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.remaining()) {
-		return "", errShort
-	}
-	b, _ := r.take(int(n))
-	if string(b) == prev { // comparison, no conversion allocation
-		return prev, nil
-	}
-	return string(b), nil
-}
-
-// blob returns a fresh copy of a length-prefixed byte field. Values escape
-// into the store and into query state, so they must not alias the reusable
-// frame buffer.
-func (r *binReader) blob() ([]byte, error) {
-	n, err := r.uvarint()
+// decodeStrs decodes a length-prefixed string list, reusing dst's backing
+// array.
+func decodeStrs(r *store.Decoder, dst []string) ([]string, error) {
+	n, err := r.Count(1) // each entry is at least 1 byte (empty string)
 	if err != nil {
 		return nil, err
-	}
-	if n > uint64(r.remaining()) {
-		return nil, errShort
-	}
-	b, _ := r.take(int(n))
-	if len(b) == 0 {
-		return nil, nil
-	}
-	return append([]byte(nil), b...), nil
-}
-
-func (r *binReader) i64() (int64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return int64(binary.BigEndian.Uint64(b)), nil
-}
-
-// history decodes a version history into fresh backing (histories escape
-// into the store). The entry count is implicitly bounded by the frame:
-// take() fails before any oversized allocation could happen.
-func (r *binReader) history() (version.History, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.remaining())/version.IDSize {
-		return nil, errShort
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make(version.History, n)
-	for i := range out {
-		b, _ := r.take(version.IDSize)
-		copy(out[i][:], b)
-	}
-	return out, nil
-}
-
-// maxPreallocEntries caps count-driven pre-allocation in the decoder; a
-// frame claiming more entries earns its memory incrementally, as entries
-// actually parse, so allocation tracks bytes consumed rather than a
-// attacker-chosen count. maxReusedEntries caps the container capacity a
-// decode scratch retains between frames, so one legitimately huge frame
-// (up to MaxFrameBytes) is not pinned for the connection's lifetime.
-const (
-	maxPreallocEntries = 4096
-	maxReusedEntries   = 4096
-)
-
-// clock decodes a vector clock, reusing dst's storage when non-nil.
-func (r *binReader) clock(dst version.Clock) (version.Clock, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Each entry is at least 2 bytes (empty origin + 1-byte count).
-	if n > uint64(r.remaining())/2 {
-		return nil, errShort
-	}
-	var cached string
-	if len(dst) == 1 {
-		// Single-origin clocks (a young deployment pulling from its writer)
-		// repeat the same key frame after frame; keep it across the clear.
-		for k := range dst {
-			cached = k
-		}
-	}
-	if dst == nil {
-		alloc := n
-		if alloc > maxPreallocEntries {
-			alloc = maxPreallocEntries
-		}
-		dst = make(version.Clock, alloc)
-	} else {
-		clear(dst)
-	}
-	prev := ""
-	for i := uint64(0); i < n; i++ {
-		origin, err := r.strCached(cached)
-		if err != nil {
-			return nil, err
-		}
-		// The encoder emits origins sorted and unique; enforcing that here
-		// keeps the encoding canonical (decode∘encode is the identity on
-		// bytes) and rejects duplicate keys.
-		if i > 0 && origin <= prev {
-			return nil, fmt.Errorf("wire: clock origins out of order")
-		}
-		prev = origin
-		count, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		dst[origin] = count
-	}
-	return dst, nil
-}
-
-// update decodes one update record into u. The origin and key strings of
-// u's previous contents serve as single-entry caches (streams repeat both),
-// so callers pass the reused struct rather than a zero one.
-func (r *binReader) update(u *Update) error {
-	var err error
-	if u.Origin, err = r.strCached(u.Origin); err != nil {
-		return err
-	}
-	if u.Seq, err = r.uvarint(); err != nil {
-		return err
-	}
-	if u.Key, err = r.strCached(u.Key); err != nil {
-		return err
-	}
-	if u.Value, err = r.blob(); err != nil {
-		return err
-	}
-	flags, err := r.byte()
-	if err != nil {
-		return err
-	}
-	// Unknown flag bits are rejected, not ignored: accepting them would
-	// break the one-encoding-per-envelope canonicality contract (the
-	// re-encode clears them) and silently discard future format bits.
-	if flags&^byte(flagDelete) != 0 {
-		return fmt.Errorf("wire: unknown update flags %#x", flags)
-	}
-	u.Delete = flags&flagDelete != 0
-	if u.Version, err = r.history(); err != nil {
-		return err
-	}
-	u.Stamp, err = r.i64()
-	return err
-}
-
-// strs decodes a length-prefixed string list, reusing dst's backing array.
-func (r *binReader) strs(dst []string) ([]string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Each entry is at least 1 byte (empty string).
-	if n > uint64(r.remaining()) {
-		return nil, errShort
 	}
 	if uint64(cap(dst)) < n {
-		alloc := n
-		if alloc > maxPreallocEntries {
-			alloc = maxPreallocEntries
-		}
-		dst = make([]string, 0, alloc)
+		dst = make([]string, 0, min(n, store.MaxPrealloc))
 	}
 	dst = dst[:0]
 	for i := uint64(0); i < n; i++ {
-		s, err := r.str()
+		s, err := r.Str()
 		if err != nil {
 			return nil, err
 		}
@@ -542,7 +211,7 @@ func (r *binReader) strs(dst []string) ([]string, error) {
 type decodeScratch struct {
 	rf      []string
 	peers   []string
-	updates []Update
+	updates []store.Update
 	clock   version.Clock
 	from    string // sender cache
 	origin  string // push-update origin/key caches
@@ -600,15 +269,15 @@ func decodeBody(data []byte, env *Envelope, s *decodeScratch) error {
 	prevFrom := s.from
 	prevOrigin, prevKey := s.origin, s.key
 	*env = Envelope{}
-	r := binReader{data: data}
-	ver, err := r.byte()
+	r := store.NewDecoder(data)
+	ver, err := r.Byte()
 	if err != nil {
 		return err
 	}
 	if ver != BinaryVersion {
 		return fmt.Errorf("wire: unknown format version %d", ver)
 	}
-	kind, err := r.byte()
+	kind, err := r.Byte()
 	if err != nil {
 		return err
 	}
@@ -616,19 +285,19 @@ func decodeBody(data []byte, env *Envelope, s *decodeScratch) error {
 		return fmt.Errorf("wire: unknown kind %d", kind)
 	}
 	env.Kind = Kind(kind)
-	if env.From, err = r.strCached(prevFrom); err != nil {
+	if env.From, err = r.StrCached(prevFrom); err != nil {
 		return err
 	}
 	switch env.Kind {
 	case KindPush:
 		env.Update.Origin, env.Update.Key = prevOrigin, prevKey
-		if err := r.update(&env.Update); err != nil {
+		if err := r.Update(&env.Update); err != nil {
 			return err
 		}
-		if env.RF, err = r.strs(rf); err != nil {
+		if env.RF, err = decodeStrs(&r, rf); err != nil {
 			return err
 		}
-		t, err := r.uvarint()
+		t, err := r.Uvarint()
 		if err != nil {
 			return err
 		}
@@ -637,18 +306,13 @@ func decodeBody(data []byte, env *Envelope, s *decodeScratch) error {
 		}
 		env.T = int(t)
 	case KindPullReq:
-		if env.Clock, err = r.clock(clock); err != nil {
+		if env.Clock, err = r.Clock(clock); err != nil {
 			return err
 		}
 	case KindPullResp:
-		n, err := r.uvarint()
+		n, err := r.Count(store.UpdateMinSize)
 		if err != nil {
 			return err
-		}
-		// Each update record is at least 14 bytes (five 1-byte empty
-		// fields, the flag byte, and the 8-byte stamp).
-		if n > uint64(r.remaining())/14 {
-			return errShort
 		}
 		// Slots are reused (not just the backing array) so each slot's
 		// previous origin/key strings serve as the decode caches; beyond the
@@ -659,38 +323,38 @@ func decodeBody(data []byte, env *Envelope, s *decodeScratch) error {
 			if i < uint64(cap(updates)) {
 				updates = updates[:i+1]
 			} else {
-				updates = append(updates, Update{})
+				updates = append(updates, store.Update{})
 			}
-			if err := r.update(&updates[i]); err != nil {
+			if err := r.Update(&updates[i]); err != nil {
 				return err
 			}
 		}
 		env.Updates = updates
-		if env.KnownPeers, err = r.strs(peers); err != nil {
+		if env.KnownPeers, err = decodeStrs(&r, peers); err != nil {
 			return err
 		}
 	case KindAck:
-		if env.UpdateRef.Origin, err = r.str(); err != nil {
+		if env.UpdateRef.Origin, err = r.Str(); err != nil {
 			return err
 		}
-		if env.UpdateRef.Seq, err = r.uvarint(); err != nil {
+		if env.UpdateRef.Seq, err = r.Uvarint(); err != nil {
 			return err
 		}
 	case KindQuery:
-		if env.QID, err = r.i64(); err != nil {
+		if env.QID, err = r.I64(); err != nil {
 			return err
 		}
-		if env.Key, err = r.str(); err != nil {
+		if env.Key, err = r.Str(); err != nil {
 			return err
 		}
 	case KindQueryResp:
-		if env.QID, err = r.i64(); err != nil {
+		if env.QID, err = r.I64(); err != nil {
 			return err
 		}
-		if env.Key, err = r.str(); err != nil {
+		if env.Key, err = r.Str(); err != nil {
 			return err
 		}
-		flags, err := r.byte()
+		flags, err := r.Byte()
 		if err != nil {
 			return err
 		}
@@ -699,22 +363,22 @@ func decodeBody(data []byte, env *Envelope, s *decodeScratch) error {
 		}
 		env.Found = flags&flagFound != 0
 		env.Confident = flags&flagConfident != 0
-		if env.Value, err = r.blob(); err != nil {
+		if env.Value, err = r.Blob(); err != nil {
 			return err
 		}
-		if env.Version, err = r.history(); err != nil {
+		if env.Version, err = r.History(); err != nil {
 			return err
 		}
 	case KindSnapshot:
-		if env.Snapshot, err = r.blob(); err != nil {
+		if env.Snapshot, err = r.Blob(); err != nil {
 			return err
 		}
-		if env.KnownPeers, err = r.strs(peers); err != nil {
+		if env.KnownPeers, err = decodeStrs(&r, peers); err != nil {
 			return err
 		}
 	}
-	if r.remaining() != 0 {
-		return fmt.Errorf("wire: %d stray bytes after envelope", r.remaining())
+	if err := r.End("envelope"); err != nil {
+		return err
 	}
 	s.harvest(env)
 	return nil

@@ -14,7 +14,7 @@ import (
 // fields.
 func binTestEnvelopes(t *testing.T) []Envelope {
 	t.Helper()
-	u := FromStore(sampleUpdate(t))
+	u := sampleUpdate(t)
 	del := u
 	del.Delete = true
 	del.Value = nil
@@ -24,7 +24,7 @@ func binTestEnvelopes(t *testing.T) []Envelope {
 		{Kind: KindPush, From: "a", Update: del}, // no list, T=0
 		{Kind: KindPullReq, From: "b", Clock: version.Clock{"x": 3, "y": 1 << 40}},
 		{Kind: KindPullReq, From: "b"}, // nil clock
-		{Kind: KindPullResp, From: "c", Updates: []Update{u, del},
+		{Kind: KindPullResp, From: "c", Updates: []store.Update{u, del},
 			KnownPeers: []string{"d", ""}},
 		{Kind: KindPullResp, From: "c"}, // empty response
 		{Kind: KindAck, From: "d", UpdateRef: store.Ref{Origin: "origin-1", Seq: 2}},
@@ -39,10 +39,25 @@ func binTestEnvelopes(t *testing.T) []Envelope {
 	}
 }
 
+// normalizeUpdate maps an update to the canonical form the codec can
+// represent: empty value and history collapse to nil, and the stamp keeps
+// only its UnixNano reading (no monotonic clock, the local zone).
+func normalizeUpdate(u store.Update) store.Update {
+	if len(u.Value) == 0 {
+		u.Value = nil
+	}
+	if len(u.Version) == 0 {
+		u.Version = nil
+	}
+	u.Stamp = time.Unix(0, u.Stamp.UnixNano())
+	return u
+}
+
 // normalizeEnvelope maps an envelope to the canonical form the binary codec
 // can represent: nil and empty slices/maps collapse (both encode as count
 // 0). Deep equality after normalisation is the codec's fidelity contract.
 func normalizeEnvelope(env Envelope) Envelope {
+	env.Update = normalizeUpdate(env.Update)
 	if len(env.RF) == 0 {
 		env.RF = nil
 	}
@@ -64,15 +79,9 @@ func normalizeEnvelope(env Envelope) Envelope {
 	if len(env.Updates) == 0 {
 		env.Updates = nil
 	} else {
-		updates := make([]Update, len(env.Updates))
-		copy(updates, env.Updates)
-		for i := range updates {
-			if len(updates[i].Value) == 0 {
-				updates[i].Value = nil
-			}
-			if len(updates[i].Version) == 0 {
-				updates[i].Version = nil
-			}
+		updates := make([]store.Update, len(env.Updates))
+		for i, u := range env.Updates {
+			updates[i] = normalizeUpdate(u)
 		}
 		env.Updates = updates
 	}
@@ -109,8 +118,8 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 func TestBinaryRejectsMalformed(t *testing.T) {
 	valid, err := EncodeBinary(&Envelope{
 		Kind: KindPush, From: "a",
-		Update: Update{Origin: "o", Seq: 1, Key: "k", Value: []byte("v"),
-			Version: version.History{{1}}, Stamp: 42},
+		Update: store.Update{Origin: "o", Seq: 1, Key: "k", Value: []byte("v"),
+			Version: version.History{{1}}, Stamp: time.Unix(0, 42)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +150,10 @@ func TestBinaryDecodeReuseIsolation(t *testing.T) {
 	mk := func(val string, seq uint64) []byte {
 		body, err := EncodeBinary(&Envelope{
 			Kind: KindPullResp, From: "a",
-			Updates: []Update{{
+			Updates: []store.Update{{
 				Origin: "o", Seq: seq, Key: "k", Value: []byte(val),
 				Version: version.History{{byte(seq)}},
-				Stamp:   time.Unix(0, 1).UnixNano(),
+				Stamp:   time.Unix(0, 1),
 			}},
 		})
 		if err != nil {
@@ -156,7 +165,7 @@ func TestBinaryDecodeReuseIsolation(t *testing.T) {
 	if err := DecodeBody(mk("first", 1), &env); err != nil {
 		t.Fatal(err)
 	}
-	first := env.Updates[0].ToStore()
+	first := env.Updates[0]
 	if err := DecodeBody(mk("second", 2), &env); err != nil {
 		t.Fatal(err)
 	}

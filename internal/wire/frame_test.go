@@ -17,7 +17,7 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 	var stream bytes.Buffer
 	fw := NewFrameWriter(&stream)
 	envs := []Envelope{
-		{Kind: KindPush, From: "a:1", Update: Update{Origin: "a:1", Seq: 1, Key: "k", Value: []byte("v")}, RF: []string{"b:2"}, T: 1},
+		{Kind: KindPush, From: "a:1", Update: store.Update{Origin: "a:1", Seq: 1, Key: "k", Value: []byte("v")}, RF: []string{"b:2"}, T: 1},
 		{Kind: KindAck, From: "b:2", UpdateRef: store.Ref{Origin: "a:1", Seq: 1}},
 		{Kind: KindPullReq, From: "c:3", Clock: version.Clock{"a:1": 1}},
 	}

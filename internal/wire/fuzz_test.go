@@ -4,36 +4,51 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
 )
 
-// FuzzDecode ensures the gob compat decoder never panics and that every
-// successfully decoded envelope re-encodes.
+// FuzzDecode hardens the frame-stream reader the transports run: an
+// arbitrary byte stream must never panic or over-allocate, and every
+// envelope read from it must re-encode to exactly the frame it was read
+// from (length prefix included).
 func FuzzDecode(f *testing.F) {
 	seedEnvs := []Envelope{
 		{Kind: KindPush, From: "a:1", RF: []string{"x", "y"}, T: 3},
 		{Kind: KindPullReq, From: "b:2", Clock: version.Clock{"o": 9}},
 		{Kind: KindAck, From: "c:3", UpdateRef: store.Ref{Origin: "o", Seq: 9}},
 	}
-	for _, env := range seedEnvs {
-		raw, err := Encode(env)
+	var stream []byte
+	for i := range seedEnvs {
+		frame, err := AppendFrame(nil, &seedEnvs[i])
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(raw)
+		f.Add(frame)
+		stream = append(stream, frame...)
 	}
-	f.Add([]byte{})
+	f.Add(stream)
 	f.Add([]byte("garbage input"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := Decode(data)
-		if err != nil {
-			return // malformed input is rejected, never panics
-		}
-		if _, err := Encode(env); err != nil {
-			t.Fatalf("decoded envelope does not re-encode: %v", err)
+		src := bytes.NewReader(data)
+		fr := NewFrameReader(src)
+		var env Envelope
+		consumed := 0
+		for {
+			if err := fr.ReadEnvelope(&env); err != nil {
+				return // malformed input is rejected, never panics
+			}
+			frame, err := AppendFrame(nil, &env)
+			if err != nil {
+				t.Fatalf("decoded envelope does not re-encode: %v", err)
+			}
+			if end := consumed + len(frame); end > len(data) || !bytes.Equal(frame, data[consumed:end]) {
+				t.Fatalf("re-encoded frame differs from the stream at offset %d", consumed)
+			}
+			consumed += len(frame)
 		}
 	})
 }
@@ -42,12 +57,12 @@ func FuzzDecode(f *testing.F) {
 // seed both binary fuzzers (and mirrored in the committed corpus under
 // testdata/fuzz).
 func fuzzSeedBodies(tb testing.TB) [][]byte {
-	u := Update{Origin: "peer-1", Seq: 7, Key: "k", Value: []byte("v"),
-		Version: version.History{{1, 2}}, Stamp: 1_700_000_000_000_000_000}
+	u := store.Update{Origin: "peer-1", Seq: 7, Key: "k", Value: []byte("v"),
+		Version: version.History{{1, 2}}, Stamp: time.Unix(0, 1_700_000_000_000_000_000)}
 	envs := []Envelope{
 		{Kind: KindPush, From: "peer-0", Update: u, RF: []string{"peer-2", "peer-3"}, T: 2},
 		{Kind: KindPullReq, From: "peer-1", Clock: version.Clock{"peer-0": 3}},
-		{Kind: KindPullResp, From: "peer-2", Updates: []Update{u}, KnownPeers: []string{"peer-4"}},
+		{Kind: KindPullResp, From: "peer-2", Updates: []store.Update{u}, KnownPeers: []string{"peer-4"}},
 		{Kind: KindAck, From: "peer-3", UpdateRef: store.Ref{Origin: "peer-1", Seq: 7}},
 		{Kind: KindQuery, From: "peer-4", QID: 42, Key: "k"},
 		{Kind: KindQueryResp, From: "peer-5", QID: 42, Key: "k", Found: true,
@@ -113,8 +128,8 @@ func FuzzBinaryEnvelope(f *testing.F) {
 			copy(id[:], vid)
 			history = version.History{id}
 		}
-		u := Update{Origin: origin, Seq: seq, Key: key, Value: value,
-			Delete: deleted, Version: history, Stamp: stamp}
+		u := store.Update{Origin: origin, Seq: seq, Key: key, Value: value,
+			Delete: deleted, Version: history, Stamp: time.Unix(0, stamp)}
 		env := Envelope{Kind: Kind(kind), From: from}
 		switch env.Kind {
 		case KindPush:
@@ -124,7 +139,7 @@ func FuzzBinaryEnvelope(f *testing.F) {
 		case KindPullReq:
 			env.Clock = version.Clock{origin: seq, peer: uint64(qid)}
 		case KindPullResp:
-			env.Updates = []Update{u, u}
+			env.Updates = []store.Update{u, u}
 			env.KnownPeers = []string{peer}
 		case KindAck:
 			env.UpdateRef = store.Ref{Origin: origin, Seq: seq}
@@ -158,11 +173,11 @@ func FuzzBinaryEnvelope(f *testing.F) {
 		}
 		// The gob reference codec round-trips the same envelope; both codecs
 		// must land on the same value.
-		raw, err := Encode(env)
+		raw, err := gobEncode(env)
 		if err != nil {
 			t.Fatalf("gob reference encode: %v", err)
 		}
-		ref, err := Decode(raw)
+		ref, err := gobDecode(raw)
 		if err != nil {
 			t.Fatalf("gob reference decode: %v", err)
 		}

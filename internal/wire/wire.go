@@ -1,24 +1,20 @@
 // Package wire defines the transport-independent message format of the live
-// (asynchronous) runtime and its codecs.
+// (asynchronous) runtime and its codec.
 //
 // The paper keeps the propagation mechanism orthogonal to the physical
 // network (§1); this package is the concrete boundary: the same envelopes
 // travel over in-memory channels in tests and over TCP in deployments.
 //
-// Two codecs exist. The hand-rolled binary codec (binary.go) is the wire
-// format: length-prefixed frames, varint integers, clocks and update
-// references encoded directly from their protocol types, pooled buffers, so
-// a push fanout encodes its envelope once and reuses the bytes for every
-// destination. The gob codec (Encode/Decode below) is the compat shim and
-// differential-testing reference: it serialises the same Envelope through
-// the standard library, and the fuzzers hold the binary codec to it.
+// The codec (binary.go) is hand-rolled: length-prefixed frames, varint
+// integers, clocks and update references encoded directly from their
+// protocol types, pooled buffers, so a push fanout encodes its envelope once
+// and reuses the bytes for every destination. Updates, version histories
+// and clocks inside an envelope use the store codec (internal/store), the
+// same bytes the write-ahead log and snapshots hold.
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"time"
 
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
@@ -72,71 +68,24 @@ func (k Kind) String() string {
 	}
 }
 
-// Update is the wire form of store.Update. It differs only in the stamp
-// representation (UnixNano rather than time.Time, so codecs never touch
-// location data); version histories travel as their protocol type and are
-// validated structurally by the binary decoder (16-byte identifiers).
-type Update struct {
-	Origin  string
-	Seq     uint64
-	Key     string
-	Value   []byte
-	Delete  bool
-	Version version.History
-	Stamp   int64 // UnixNano
-}
-
-// FromStore converts a store.Update to its wire form. The version history is
-// aliased, not copied: histories are append-only (version.History.Append is
-// copy-on-write), so a shared backing array stays valid. The value is copied
-// — wire values may outlive the envelope on transport queues, and the
-// store's log entries must stay immutable.
-func FromStore(u store.Update) Update {
-	return Update{
-		Origin:  u.Origin,
-		Seq:     u.Seq,
-		Key:     u.Key,
-		Value:   append([]byte(nil), u.Value...),
-		Delete:  u.Delete,
-		Version: u.Version,
-		Stamp:   u.Stamp.UnixNano(),
-	}
-}
-
-// ToStore converts back to a store.Update. The value and version backing is
-// aliased: the binary decoder allocates both freshly per update, so the
-// store adopting them shares memory with nothing that is reused.
-func (u Update) ToStore() store.Update {
-	return store.Update{
-		Origin:  u.Origin,
-		Seq:     u.Seq,
-		Key:     u.Key,
-		Value:   u.Value,
-		Delete:  u.Delete,
-		Version: u.Version,
-		Stamp:   time.Unix(0, u.Stamp),
-	}
-}
-
 // Envelope is one transport message.
 type Envelope struct {
 	// Kind selects which payload fields are meaningful.
 	Kind Kind
 	// From is the sender's address.
 	From string
-	// Update is set for KindPush.
-	Update Update
+	// Update is set for KindPush. Senders hand the envelope a private copy
+	// of the value; decoded updates own fresh value and history backing.
+	Update store.Update
 	// RF is the partial flooding list (addresses) for KindPush.
 	RF []string
 	// T is the push round counter for KindPush.
 	T int
 	// Clock is the requester's vector clock for KindPullReq, carried
-	// directly — the hot path pays no map copy (the old ClockToWire /
-	// ClockFromWire round trip survives only as the compat shim in
-	// convert.go).
+	// directly — the hot path pays no map copy.
 	Clock version.Clock
 	// Updates are the missing updates for KindPullResp.
-	Updates []Update
+	Updates []store.Update
 	// KnownPeers is a membership sample piggybacked on KindPullResp and
 	// KindSnapshot — the name-dropper effect applied to the pull phase, which
 	// bootstraps the views of freshly joined replicas.
@@ -162,24 +111,4 @@ type Envelope struct {
 	Version version.History
 	// Confident is false when the responder suspects it is stale.
 	Confident bool
-}
-
-// Encode serialises the envelope with gob — the compat/reference codec. The
-// transports speak the binary codec; this survives for tools, differential
-// tests, and the fuzzers' oracle.
-func Encode(env Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return nil, fmt.Errorf("wire: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode deserialises a gob envelope produced by Encode.
-func Decode(raw []byte) (Envelope, error) {
-	var env Envelope
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
-		return Envelope{}, fmt.Errorf("wire: decode: %w", err)
-	}
-	return env, nil
 }

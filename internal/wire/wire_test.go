@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,9 +24,19 @@ func sampleUpdate(t *testing.T) store.Update {
 	return w.Put("k", []byte("second")) // history length 2
 }
 
+// TestUpdateRoundTrip: a store update survives a push envelope unchanged,
+// stamp included (to the nanosecond).
 func TestUpdateRoundTrip(t *testing.T) {
 	u := sampleUpdate(t)
-	back := FromStore(u).ToStore()
+	body, err := EncodeBinary(&Envelope{Kind: KindPush, Update: u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := DecodeBinary(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := env.Update
 	if back.ID() != u.ID() {
 		t.Fatalf("id mismatch: %s vs %s", back.ID(), u.ID())
 	}
@@ -39,51 +51,61 @@ func TestUpdateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFromStoreIsolatesValue pins the ownership contract: the wire form's
-// value is independent of the store's immutable log entry (the history may
-// alias — it is append-only and never mutated in place).
+// TestFromStoreIsolatesValue pins the ownership contract between a store
+// update and its wire form: the decoded update shares no bytes with the
+// source update nor with the frame buffer it was decoded from, so a
+// receiver may keep it after the buffer is reused.
 func TestFromStoreIsolatesValue(t *testing.T) {
 	u := sampleUpdate(t)
-	wu := FromStore(u)
-	wu.Value[0] = 'X'
+	body, err := EncodeBinary(&Envelope{Kind: KindPush, Update: u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := DecodeBinary(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Update.Value[0] = 'X'
 	if u.Value[0] == 'X' {
-		t.Fatal("FromStore aliases the source value")
+		t.Fatal("wire form aliases the source value")
+	}
+	for i := range body {
+		body[i] = 0
+	}
+	if string(env.Update.Value) != "Xecond" {
+		t.Fatalf("decoded value aliases the frame buffer: %q", env.Update.Value)
 	}
 }
 
+// TestEnvelopeRoundTripAllKinds streams every kind through one frame
+// writer and reads it back into a single reused envelope: the reader's
+// scratch reuse across interleaved kinds must not leak or lose fields.
 func TestEnvelopeRoundTripAllKinds(t *testing.T) {
-	u := FromStore(sampleUpdate(t))
-	envs := []Envelope{
-		{Kind: KindPush, From: "a", Update: u, RF: []string{"a", "b"}, T: 4},
-		{Kind: KindPullReq, From: "b", Clock: version.Clock{"x": 3}},
-		{Kind: KindPullResp, From: "c", Updates: []Update{u, u}, KnownPeers: []string{"d"}},
-		{Kind: KindAck, From: "d", UpdateRef: store.Ref{Origin: "origin-1", Seq: 2}},
-		{Kind: KindQuery, From: "e", QID: -9, Key: "k"},
-		{Kind: KindQueryResp, From: "f", QID: -9, Key: "k", Found: true,
-			Value: []byte("v"), Version: u.Version, Confident: true},
-		{Kind: KindSnapshot, From: "g", Snapshot: []byte("blob"), KnownPeers: []string{"h"}},
-	}
-	for _, env := range envs {
-		// The gob compat codec round-trips.
-		raw, err := Encode(env)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", env.Kind, err)
+	envs := binTestEnvelopes(t)
+	var stream bytes.Buffer
+	fw := NewFrameWriter(&stream)
+	for i := range envs {
+		if err := fw.WriteEnvelope(&envs[i]); err != nil {
+			t.Fatalf("%s: encode: %v", envs[i].Kind, err)
 		}
-		back, err := Decode(raw)
-		if err != nil {
+	}
+	fr := NewFrameReader(&stream)
+	var back Envelope
+	for _, env := range envs {
+		if err := fr.ReadEnvelope(&back); err != nil {
 			t.Fatalf("%s: decode: %v", env.Kind, err)
 		}
-		if back.Kind != env.Kind || back.From != env.From {
-			t.Fatalf("%s: header mismatch: %+v", env.Kind, back)
+		if !reflect.DeepEqual(normalizeEnvelope(back), normalizeEnvelope(env)) {
+			t.Fatalf("%s: round trip mismatch:\n got %+v\nwant %+v", env.Kind, back, env)
 		}
 	}
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
+	if _, err := DecodeBinary(nil); err == nil {
 		t.Fatal("nil decoded")
 	}
-	if _, err := Decode([]byte("not gob")); err == nil {
+	if _, err := DecodeBinary([]byte("not a frame")); err == nil {
 		t.Fatal("garbage decoded")
 	}
 }
@@ -104,21 +126,26 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestClockConversions: a pull request's clock reaches the far side as an
+// independent, equal map, even when the decode reuses a previous clock.
 func TestClockConversions(t *testing.T) {
 	c := version.NewClock()
 	c["a"] = 3
 	c["b"] = 9
-	w := ClockToWire(c)
-	if len(w) != 2 || w["b"] != 9 {
-		t.Fatalf("ClockToWire = %v", w)
+	body, err := EncodeBinary(&Envelope{Kind: KindPullReq, Clock: c})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Mutating the wire form must not touch the original.
-	w["a"] = 99
+	env := Envelope{Clock: version.Clock{"stale": 1}}
+	if err := DecodeBody(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	if len(env.Clock) != 2 || env.Clock["a"] != 3 || env.Clock["b"] != 9 {
+		t.Fatalf("decoded clock = %v", env.Clock)
+	}
+	// Mutating the decoded form must not touch the original.
+	env.Clock["a"] = 99
 	if c["a"] != 3 {
-		t.Fatal("ClockToWire aliases the clock")
-	}
-	back := ClockFromWire(w)
-	if back.Get("a") != 99 || back.Get("b") != 9 {
-		t.Fatalf("ClockFromWire = %v", back)
+		t.Fatal("decoded clock aliases the original")
 	}
 }

@@ -320,13 +320,21 @@ func (n *Node) WriteSnapshot(w io.Writer) error {
 // RestoreSnapshot replaces the node's state with a snapshot previously
 // produced by WriteSnapshot on this or another node. Prefer the WithSnapshot
 // option, which restores before the protocol starts; restoring a running
-// node discards updates applied since it opened.
+// node discards updates applied since it opened. On a WAL-backed node the
+// restore is made durable by a checkpoint before RestoreSnapshot returns,
+// so recovery never replays the discarded pre-restore records; a failed
+// checkpoint is reported as ErrWAL.
 func (n *Node) RestoreSnapshot(r io.Reader) error {
 	if n.isClosed() {
 		return fmt.Errorf("restore: %w", ErrClosed)
 	}
 	if err := n.replica.RestoreSnapshot(r); err != nil {
 		return fmt.Errorf("%w: restore: %v", ErrSnapshot, err)
+	}
+	if n.hasWAL {
+		if _, err := n.replica.CheckpointWAL(); err != nil {
+			return fmt.Errorf("%w: checkpoint after restore: %v", ErrWAL, err)
+		}
 	}
 	return nil
 }

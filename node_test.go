@@ -358,6 +358,68 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreSnapshotRacingJanitorIsDurable: a restore on a WAL node runs
+// its checkpoint while the janitor checkpoints on every tick (1-byte
+// threshold) over a pre-restore state large enough to keep each janitor
+// snapshot write in flight. Whatever the interleaving, recovery must come
+// back with the restored state and without the records the restore
+// discarded.
+func TestRestoreSnapshotRacingJanitorIsDurable(t *testing.T) {
+	ctx := context.Background()
+	src := openHubNode(t, pushpull.NewHub(), "src", 1)
+	if _, err := src.Publish(ctx, "restored", []byte("yes")); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := src.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 0; round < 30; round++ {
+		dir := t.TempDir()
+		open := func(extra ...pushpull.Option) (*pushpull.Node, *pushpull.WAL) {
+			t.Helper()
+			l, err := pushpull.OpenWAL(pushpull.WALOptions{Dir: dir, Policy: pushpull.WALSyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := append([]pushpull.Option{pushpull.WithHub(pushpull.NewHub(), "durable"), pushpull.WithWAL(l)}, extra...)
+			node, err := pushpull.Open(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return node, l
+		}
+		node, l := open(pushpull.WithWALCheckpoint(1), pushpull.WithJanitorInterval(time.Millisecond))
+		for i := 0; i < 500; i++ {
+			if _, err := node.Publish(ctx, fmt.Sprintf("discarded-%d", i), bytes.Repeat([]byte("x"), 1024)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := node.RestoreSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if err := node.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		node, l = open()
+		rev, ok := node.Get("restored")
+		keys := node.Store().Keys()
+		_ = node.Close(ctx)
+		_ = l.Close()
+		if !ok || string(rev.Value) != "yes" {
+			t.Fatalf("round %d: restored key lost across restart: %+v %v", round, rev, ok)
+		}
+		if len(keys) != 1 {
+			t.Fatalf("round %d: pre-restore writes resurrected by recovery: %v", round, keys)
+		}
+	}
+}
+
 func TestNodeMetrics(t *testing.T) {
 	hub := pushpull.NewHub()
 	ctx := context.Background()

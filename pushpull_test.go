@@ -1,6 +1,7 @@
 package pushpull_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -8,39 +9,38 @@ import (
 )
 
 // TestPublicAPIQuickstart exercises the README quick-start path end to end
-// through the facade only.
+// through the facade only: hub-connected nodes opened with Open, one
+// publish, and every node converging on it.
 func TestPublicAPIQuickstart(t *testing.T) {
 	hub := pushpull.NewHub()
 	const n = 5
-	replicas := make([]*pushpull.Replica, n)
+	nodes := make([]*pushpull.Node, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		addrs[i] = string(rune('a' + i))
-		tr, err := hub.Attach(addrs[i])
+		node, err := pushpull.Open(
+			pushpull.WithHub(hub, addrs[i]),
+			pushpull.WithPullInterval(5*time.Millisecond),
+			pushpull.WithSeed(int64(i)+1),
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := pushpull.DefaultReplicaConfig()
-		cfg.PullInterval = 5 * time.Millisecond
-		cfg.Seed = int64(i) + 1
-		r, err := pushpull.NewReplica(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replicas[i] = r
+		defer node.Close(context.Background())
+		nodes[i] = node
 	}
-	for _, r := range replicas {
-		r.AddPeers(addrs...)
-		r.Start()
-		defer r.Stop()
+	for _, node := range nodes {
+		node.AddPeers(addrs...)
 	}
-	replicas[0].Publish("greeting", []byte("hello"))
+	if _, err := nodes[0].Publish(context.Background(), "greeting", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
 
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		done := true
-		for _, r := range replicas {
-			if rev, ok := r.Get("greeting"); !ok || string(rev.Value) != "hello" {
+		for _, node := range nodes {
+			if rev, ok := node.Get("greeting"); !ok || string(rev.Value) != "hello" {
 				done = false
 				break
 			}
