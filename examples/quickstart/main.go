@@ -30,11 +30,18 @@ func run() error {
 		addrs[i] = fmt.Sprintf("replica-%02d", i)
 	}
 	for i := 0; i < n; i++ {
+		// The last node knows the group, but the group has not heard from
+		// it yet: no push can target it, so whatever it learns arrives by
+		// its own pulls.
+		peers := addrs[:n-1]
+		if i == n-1 {
+			peers = addrs
+		}
 		node, err := pushpull.Open(
 			pushpull.WithHub(hub, addrs[i]),
 			pushpull.WithPullInterval(50*time.Millisecond),
 			pushpull.WithSeed(int64(i)+1),
-			pushpull.WithPeers(addrs...),
+			pushpull.WithPeers(peers...),
 		)
 		if err != nil {
 			return err

@@ -10,8 +10,12 @@
 //     docs/OPERATIONS.md under both its registry name and its Prometheus
 //     exposition name;
 //   - every command-line flag pushpulld registers must be documented in
-//     docs/OPERATIONS.md.
+//     docs/OPERATIONS.md;
+//   - every Test/Benchmark/Fuzz function and every backticked repo path
+//     (internal/…, cmd/…, docs/…, examples/…, e2ebench/…) that README.md,
+//     DESIGN.md or docs/OPERATIONS.md cite must exist in the tree.
 //
-// Adding a counter, a flag, or an exported symbol without documenting it
-// fails the build, so the operational docs cannot silently rot.
+// Adding a counter, a flag, or an exported symbol without documenting it,
+// or renaming a test or deleting a file the docs cite, fails the build, so
+// the operational docs cannot silently rot.
 package docscheck

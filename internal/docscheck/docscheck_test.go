@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -226,6 +227,70 @@ func daemonFlags(t *testing.T) []string {
 		return true
 	})
 	return flags
+}
+
+// citingDocs are the documents whose citations of tests and repo paths
+// must resolve.
+var citingDocs = []string{"README.md", "DESIGN.md", filepath.Join("docs", "OPERATIONS.md")}
+
+var (
+	citedTest = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*`)
+	citedPath = regexp.MustCompile("`((?:internal|cmd|docs|examples|e2ebench)/[^`\\s]*)")
+	testFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
+)
+
+// TestDocsCiteExistingTestsAndPaths fails when README.md, DESIGN.md or
+// docs/OPERATIONS.md cite a Test/Benchmark/Fuzz function that no _test.go
+// file in the tree defines, or a backticked repo path (internal/…, cmd/…,
+// docs/…, examples/…, e2ebench/…) that does not exist. Renaming a test or
+// deleting a file without updating the prose breaks this test.
+func TestDocsCiteExistingTestsAndPaths(t *testing.T) {
+	root := repoRoot(t)
+	defined := make(map[string]bool)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			defined[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("scanning test files: %v", err)
+	}
+	if len(defined) < 100 {
+		t.Fatalf("found only %d test functions; the scan is broken", len(defined))
+	}
+	cited := 0
+	for _, doc := range citingDocs {
+		text := readDoc(t, doc)
+		for _, name := range citedTest.FindAllString(text, -1) {
+			cited++
+			if !defined[name] {
+				t.Errorf("%s cites %s, which no _test.go file defines", doc, name)
+			}
+		}
+		for _, m := range citedPath.FindAllStringSubmatch(text, -1) {
+			cited++
+			if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(m[1]))); err != nil {
+				t.Errorf("%s cites `%s`, which does not exist", doc, m[1])
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no citations found; the extraction is broken")
+	}
 }
 
 // TestReadmeLinksTheDocSurface keeps the front door honest: the top-level

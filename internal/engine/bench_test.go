@@ -111,8 +111,14 @@ func BenchmarkPullReconciliation(b *testing.B) {
 	remote["writer"] = updateCount - missing
 	b.ReportAllocs()
 	b.ResetTimer()
+	intent := Message[int]{Kind: KindPullResp, Clock: remote}
 	for i := 0; i < b.N; i++ {
 		e.Handle(2, Message[int]{Kind: KindPullReq, Clock: remote})
+		// Serving the request includes rendering the intent the engine
+		// answered with, which the adapter does at transmission.
+		if _, ok := e.RenderPullResp(intent); !ok {
+			b.Fatal("pull response did not render")
+		}
 	}
 }
 

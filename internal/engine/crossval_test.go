@@ -3,7 +3,9 @@ package engine_test
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/p2pgossip/update/internal/gossip"
 	"github.com/p2pgossip/update/internal/live"
@@ -22,7 +24,9 @@ import (
 // The workload is configured to be RNG-independent (full fanout, PF = 1, no
 // churn), because the two adapters legitimately differ in randomness
 // architecture: the simulator shares one engine-wide source, the live
-// runtime seeds one per replica.
+// runtime seeds one per replica. It is also independent of delivery order,
+// so the live side's asynchronous per-peer senders cannot change the
+// outcome, only when it is reached.
 
 // crossPopulation is the cluster size; addresses/origins are "peer-<i>" on
 // both sides so store contents are directly comparable.
@@ -111,9 +115,25 @@ func runSimWorkload(t *testing.T, partialList bool) *dissemination {
 	return out
 }
 
+// pushCounter is a metrics sink shared by the whole live cluster, counting
+// pushes put on the wire and pushes received.
+type pushCounter struct{ sent, received atomic.Int64 }
+
+func (c *pushCounter) Inc(name string) { c.Add(name, 1) }
+
+func (c *pushCounter) Add(name string, delta float64) {
+	switch name {
+	case live.MetricPushSent:
+		c.sent.Add(int64(delta))
+	case live.MetricPushReceived:
+		c.received.Add(int64(delta))
+	}
+}
+
 func runLiveWorkload(t *testing.T, partialList bool) *dissemination {
 	t.Helper()
 	hub := live.NewHub()
+	pushes := &pushCounter{}
 	replicas := make([]*live.Replica, crossPopulation)
 	addrs := make([]string, crossPopulation)
 	for i := range replicas {
@@ -127,24 +147,27 @@ func runLiveWorkload(t *testing.T, partialList bool) *dissemination {
 			PartialList:  partialList,
 			PullAttempts: 0,
 			Seed:         int64(i) + 1,
+			Metrics:      pushes,
 		}, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(r.Stop)
 		replicas[i] = r
 	}
 	for _, r := range replicas {
 		r.AddPeers(addrs...)
 	}
-	// The replicas are never Started: with the pull phase disabled there is
-	// no background activity, so every push cascade runs synchronously in
-	// the publisher's goroutine and the run is deterministic.
+	// The replicas are never Started: with the pull phase disabled the only
+	// background activity is the per-peer senders carrying the push
+	// cascades, so the run ends once the cluster goes quiet.
 	var ids []string
 	for _, w := range crossWriters {
 		u, _ := replicas[w].Publish(fmt.Sprintf("key-%d", w),
 			[]byte(fmt.Sprintf("value-%d", w)))
 		ids = append(ids, u.ID())
 	}
+	waitQuiet(t, replicas, pushes)
 	out := newDissemination()
 	for i, r := range replicas {
 		r := r
@@ -156,6 +179,35 @@ func runLiveWorkload(t *testing.T, partialList bool) *dissemination {
 			clockMap(r.Store().Clock()))
 	}
 	return out
+}
+
+// waitQuiet waits until the live cluster is quiet: every replica's pending
+// deltas are empty, and the cluster's sent and received push counts are
+// equal and unchanged across several consecutive polls.
+func waitQuiet(t *testing.T, replicas []*live.Replica, pushes *pushCounter) {
+	t.Helper()
+	const stablePolls = 3
+	deadline := time.Now().Add(10 * time.Second)
+	last, stable := int64(-1), 0
+	for stable < stablePolls {
+		if time.Now().After(deadline) {
+			t.Fatalf("live cluster not quiet: %d pushes sent, %d received",
+				pushes.sent.Load(), pushes.received.Load())
+		}
+		time.Sleep(10 * time.Millisecond)
+		quiet := true
+		for _, r := range replicas {
+			if cur, _ := r.PendingSendBytes(); cur != 0 {
+				quiet = false
+			}
+		}
+		sent := pushes.sent.Load()
+		if !quiet || sent != pushes.received.Load() || sent != last {
+			last, stable = sent, 0
+			continue
+		}
+		stable++
+	}
 }
 
 func clockMap(c map[string]uint64) map[string]uint64 {

@@ -141,17 +141,6 @@ type Config[ID comparable] struct {
 	// QueryLocalVoice makes the local store participate in every query as
 	// one more voice, so a fresh replica never answers worse than Get.
 	QueryLocalVoice bool
-	// DeferPullRender makes pull requests answered with an *unrendered*
-	// intent: a KindPullResp message carrying only the requester's clock
-	// (cloned into Message.Clock) and the gossiped peer sample, with no
-	// updates. The adapter renders the actual delta — or snapshot — at
-	// transmission time via RenderPullResp. This is the late-binding
-	// contract of a coalescing sender: responses that wait behind a busy
-	// link are merged by clock and re-rendered when the link frees, so the
-	// requester receives the newest superset instead of a stale backlog.
-	// Off (the default), responses are rendered eagerly inside handlePullReq
-	// exactly as before.
-	DeferPullRender bool
 	// ValidID reports whether a peer identity learned from the wire is
 	// usable as a protocol target. Nil accepts every non-self identity;
 	// the live adapter rejects empty addresses, which an envelope with an
@@ -790,20 +779,12 @@ func (e *Engine[ID]) handlePullReq(from ID, m Message[ID]) {
 	}
 	e.releaseScratch(sample)
 
-	if e.cfg.DeferPullRender {
-		// Late-binding: ship only the intent (requester clock + peer
-		// gossip); the adapter calls RenderPullResp when the message
-		// actually leaves, so a response that waited behind a slow link
-		// serves the newest state, not the state at enqueue time. The clock
-		// is cloned because inbound messages may alias decoder scratch.
-		e.ep.Send(from, Message[ID]{Kind: KindPullResp, Clock: m.Clock.Clone(), Peers: peers})
-	} else if updates, snapshot, ok := e.RenderPullResp(m.Clock); ok {
-		if snapshot != nil {
-			e.ep.Send(from, Message[ID]{Kind: KindSnapshot, Snapshot: snapshot, Peers: peers})
-		} else {
-			e.ep.Send(from, Message[ID]{Kind: KindPullResp, Updates: updates, Peers: peers})
-		}
-	}
+	// Late binding: ship only the intent (requester clock + peer gossip);
+	// the adapter calls RenderPullResp when the message actually leaves, so
+	// a response that waited behind a slow link serves the newest state, not
+	// the state at enqueue time. The clock is cloned because inbound messages
+	// may alias decoder scratch.
+	e.ep.Send(from, Message[ID]{Kind: KindPullResp, Clock: m.Clock.Clone(), Peers: peers})
 
 	// "receives a pull request, but is not sure to have the latest update"
 	// (§3): a stale or lazily-woken peer answers and synchronises itself.
@@ -815,34 +796,32 @@ func (e *Engine[ID]) handlePullReq(from ID, m Message[ID]) {
 	}
 }
 
-// RenderPullResp renders the reply to a pull request that presented the
-// given clock, at whatever moment the adapter transmits it. It is the
-// snapshot-vs-delta decision of the pull phase: a gap that compaction has
-// dropped can only be served as a snapshot, a gap above SnapshotCatchUp is
-// cheaper as one, and everything else ships the exact missing run. A non-nil
-// snapshot means one KindSnapshot frame; otherwise updates (possibly empty)
-// go out as a KindPullResp. ok is false only when the delta is gone and the
-// snapshot failed to encode — nothing useful to send.
-//
-// With Config.DeferPullRender the adapter calls this at send time (it reads
-// only the store and immutable configuration, so a live adapter may call it
-// without holding its engine lock); without it, handlePullReq calls it
-// eagerly.
-func (e *Engine[ID]) RenderPullResp(clock version.Clock) (updates []store.Update, snapshot []byte, ok bool) {
-	missing, complete := e.st.DeltaFor(clock)
+// RenderPullResp renders the pull-response intent handlePullReq emitted (a
+// KindPullResp carrying only the requester's clock and a peer sample) into
+// the message to transmit, at whatever moment the adapter transmits it. It
+// is the snapshot-vs-delta decision of the pull phase: a gap that compaction
+// has dropped can only be served as a snapshot, a gap above SnapshotCatchUp
+// is cheaper as one, and everything else ships the exact missing run. The
+// result is one KindSnapshot, or a KindPullResp whose Updates (possibly
+// empty) are the delta; either carries the intent's peer sample. ok is false
+// only when the delta is gone and the snapshot failed to encode — nothing
+// useful to send. It reads only the store and immutable configuration, so a
+// live adapter may call it without holding its engine lock.
+func (e *Engine[ID]) RenderPullResp(intent Message[ID]) (Message[ID], bool) {
+	missing, complete := e.st.DeltaFor(intent.Clock)
 	if !complete || (e.cfg.SnapshotCatchUp > 0 && len(missing) > e.cfg.SnapshotCatchUp) {
 		var buf bytes.Buffer
 		if err := e.st.WriteSnapshot(&buf); err == nil {
-			return nil, buf.Bytes(), true
+			return Message[ID]{Kind: KindSnapshot, Snapshot: buf.Bytes(), Peers: intent.Peers}, true
 		}
 		if !complete {
 			// Encoding to memory failing is effectively unreachable; with the
 			// delta also compacted away there is nothing left to serve.
-			return nil, nil, false
+			return Message[ID]{}, false
 		}
 		// Keep the peer live on the delta when we still have one.
 	}
-	return missing, nil, true
+	return Message[ID]{Kind: KindPullResp, Updates: missing, Peers: intent.Peers}, true
 }
 
 // RenderPush renders the carried flooding list for a pending push of ref at

@@ -26,7 +26,8 @@ type testNet struct {
 }
 
 // testEndpoint is a controllable Endpoint: time is a settable tick counter,
-// sends are recorded and (when a net is attached) delivered synchronously.
+// sends are recorded and (when a net is attached) delivered synchronously,
+// pull-response intents rendered on the way.
 type testEndpoint struct {
 	id      int
 	now     int64
@@ -45,6 +46,14 @@ func (ep *testEndpoint) Send(to int, m Message[int]) {
 	}
 	if ep.net != nil {
 		if target, ok := ep.net.engines[to]; ok {
+			if m.Kind == KindPullResp {
+				// Render the pull-response intent at delivery, as an
+				// adapter's sender does at transmission.
+				var ok bool
+				if m, ok = ep.net.engines[ep.id].RenderPullResp(m); !ok {
+					return
+				}
+			}
 			target.Handle(ep.id, m)
 		}
 	}

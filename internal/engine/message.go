@@ -68,9 +68,12 @@ type Message[ID comparable] struct {
 	RF []ID
 	// T is the push round counter for KindPush; the initiator sends T = 0.
 	T int
-	// Clock is the requester's vector clock for KindPullReq.
+	// Clock is the requester's vector clock for KindPullReq. On the
+	// KindPullResp the engine emits it is the clock being answered: the
+	// response is an unrendered intent that the adapter turns into Updates
+	// or a snapshot with Engine.RenderPullResp when it transmits.
 	Clock version.Clock
-	// Updates are the missing updates for KindPullResp.
+	// Updates are the missing updates of a rendered KindPullResp.
 	Updates []store.Update
 	// Peers is a membership sample piggybacked on KindPullResp and
 	// KindSnapshot — the name-dropper effect applied to the pull phase.

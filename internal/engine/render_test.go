@@ -8,9 +8,9 @@ import (
 )
 
 // The tests below cover the two late-binding render hooks the coalescing
-// senders rely on (RenderPush, RenderPullResp) and the DeferPullRender
-// contract: an unrendered pull-response intent must, when rendered later,
-// serve exactly what the eager path would have.
+// senders rely on (RenderPush, RenderPullResp) and the pull-response intent
+// contract: the unrendered intent a pull request is answered with must,
+// when rendered later, serve exactly the store's delta for the requester.
 
 func TestRenderPushLateBoundList(t *testing.T) {
 	cfg := Config[int]{Fanout: 1, PartialList: true}
@@ -58,80 +58,79 @@ func TestRenderPullRespSnapshotDecision(t *testing.T) {
 		e.Publish(kv, []byte(kv))
 	}
 
+	render := func(clock version.Clock) Message[int] {
+		t.Helper()
+		m, ok := e.RenderPullResp(Message[int]{Kind: KindPullResp, Clock: clock, Peers: []int{7}})
+		if !ok {
+			t.Fatalf("render of clock %v not ok", clock)
+		}
+		if len(m.Peers) != 1 || m.Peers[0] != 7 {
+			t.Fatalf("rendered %v lost the intent's peer sample: %v", m.Kind, m.Peers)
+		}
+		return m
+	}
+
 	// A peer missing all five updates is over the SnapshotCatchUp threshold:
 	// one snapshot frame, no delta.
-	updates, snapshot, ok := e.RenderPullResp(version.Clock{})
-	if !ok || snapshot == nil || updates != nil {
-		t.Fatalf("far-behind render = %d updates, snapshot %t, ok %t; want snapshot",
-			len(updates), snapshot != nil, ok)
+	m := render(version.Clock{})
+	if m.Kind != KindSnapshot || m.Snapshot == nil || m.Updates != nil {
+		t.Fatalf("far-behind render = %v with %d updates, snapshot %t; want snapshot",
+			m.Kind, len(m.Updates), m.Snapshot != nil)
 	}
 
 	// A nearly caught-up peer gets the exact missing run.
-	updates, snapshot, ok = e.RenderPullResp(version.Clock{"peer-1": 4})
-	if !ok || snapshot != nil || len(updates) != 1 {
-		t.Fatalf("near-tip render = %d updates, snapshot %t, ok %t; want 1 update",
-			len(updates), snapshot != nil, ok)
+	m = render(version.Clock{"peer-1": 4})
+	if m.Kind != KindPullResp || m.Snapshot != nil || len(m.Updates) != 1 {
+		t.Fatalf("near-tip render = %v with %d updates, snapshot %t; want 1 update",
+			m.Kind, len(m.Updates), m.Snapshot != nil)
 	}
-	if updates[0].Key != "e" {
-		t.Fatalf("missing run served %q, want the fifth publish", updates[0].Key)
+	if m.Updates[0].Key != "e" {
+		t.Fatalf("missing run served %q, want the fifth publish", m.Updates[0].Key)
 	}
 
 	// A fully caught-up peer gets an empty (but ok) delta.
-	updates, snapshot, ok = e.RenderPullResp(e.Store().Clock())
-	if !ok || snapshot != nil || len(updates) != 0 {
-		t.Fatalf("caught-up render = %d updates, snapshot %t, ok %t; want empty delta",
-			len(updates), snapshot != nil, ok)
+	m = render(e.Store().Clock())
+	if m.Kind != KindPullResp || m.Snapshot != nil || len(m.Updates) != 0 {
+		t.Fatalf("caught-up render = %v with %d updates, snapshot %t; want empty delta",
+			m.Kind, len(m.Updates), m.Snapshot != nil)
 	}
 }
 
-// TestDeferPullRenderIntentMatchesEagerPath: with DeferPullRender the engine
-// answers a pull request with an intent (clock + peer gossip, no updates);
-// rendering that intent later must produce the same delta the eager
-// configuration would have sent immediately.
-func TestDeferPullRenderIntentMatchesEagerPath(t *testing.T) {
-	seed := func(e *Engine[int]) {
-		e.Publish("x", []byte("1"))
-		e.Publish("y", []byte("2"))
-		e.PublishDelete("x")
-	}
+// TestPullRespIntentRendersStoreDelta: the engine answers a pull request
+// with an intent (clock + peer gossip, no updates); rendering that intent
+// later must produce exactly the store's delta for the requester's clock.
+func TestPullRespIntentRendersStoreDelta(t *testing.T) {
+	e, ep := newTestEngine(t, 1, Config[int]{Fanout: 0, PullAttempts: 1}, nil)
+	e.Publish("x", []byte("1"))
+	e.Publish("y", []byte("2"))
+	e.PublishDelete("x")
 	reqClock := version.Clock{"peer-1": 1}
 
-	eager, epEager := newTestEngine(t, 1, Config[int]{Fanout: 0, PullAttempts: 1}, nil)
-	seed(eager)
-	epEager.sent = nil
-	eager.Handle(2, Message[int]{Kind: KindPullReq, Clock: reqClock})
-	if len(epEager.sent) != 1 || epEager.sent[0].msg.Kind != KindPullResp {
-		t.Fatalf("eager path sent %+v, want one rendered pull response", epEager.sent)
-	}
-	want := epEager.sent[0].msg.Updates
-	if len(want) == 0 {
-		t.Fatal("eager response carried no updates; the fixture is broken")
+	want, complete := e.Store().DeltaFor(reqClock)
+	if !complete || len(want) == 0 {
+		t.Fatalf("store delta = %d updates, complete %t; the fixture is broken", len(want), complete)
 	}
 
-	deferred, epDef := newTestEngine(t, 1, Config[int]{
-		Fanout: 0, PullAttempts: 1, DeferPullRender: true,
-	}, nil)
-	seed(deferred)
-	epDef.sent = nil
-	deferred.Handle(2, Message[int]{Kind: KindPullReq, Clock: reqClock})
-	if len(epDef.sent) != 1 {
-		t.Fatalf("deferred path sent %d messages, want one intent", len(epDef.sent))
+	ep.sent = nil
+	e.Handle(2, Message[int]{Kind: KindPullReq, Clock: reqClock})
+	if len(ep.sent) != 1 {
+		t.Fatalf("pull request answered with %d messages, want one intent", len(ep.sent))
 	}
-	intent := epDef.sent[0].msg
+	intent := ep.sent[0].msg
 	if intent.Kind != KindPullResp || intent.Updates != nil || intent.Clock == nil {
-		t.Fatalf("deferred path sent %+v, want an unrendered intent (clock, no updates)", intent)
+		t.Fatalf("pull request answered with %+v, want an unrendered intent (clock, no updates)", intent)
 	}
 
-	got, snapshot, ok := deferred.RenderPullResp(intent.Clock)
-	if !ok || snapshot != nil {
-		t.Fatalf("rendering the intent gave snapshot %t, ok %t; want a delta", snapshot != nil, ok)
+	got, ok := e.RenderPullResp(intent)
+	if !ok || got.Kind != KindPullResp {
+		t.Fatalf("rendering the intent gave %v, ok %t; want a delta", got.Kind, ok)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("deferred render served %d updates, eager served %d", len(got), len(want))
+	if len(got.Updates) != len(want) {
+		t.Fatalf("rendered intent served %d updates, store delta has %d", len(got.Updates), len(want))
 	}
 	for i := range want {
-		if got[i].Ref() != want[i].Ref() {
-			t.Fatalf("update %d: deferred %v, eager %v", i, got[i].Ref(), want[i].Ref())
+		if got.Updates[i].Ref() != want[i].Ref() {
+			t.Fatalf("update %d: rendered %v, store delta %v", i, got.Updates[i].Ref(), want[i].Ref())
 		}
 	}
 }

@@ -112,12 +112,11 @@ type Config struct {
 	FrontierTTL int
 	// LinkBudget caps the messages a peer emits to any one destination per
 	// round; traffic beyond the budget coalesces into a per-destination
-	// pending delta (dedup by update ref, newest version wins, requester
-	// clocks merged pointwise-minimum) drained in later rounds — the
-	// simulator equivalent of the live runtime's coalescing senders, for
-	// cross-validating their bounded-memory behavior in deterministic
-	// scenarios. Zero disables the budget: every send goes out the round it
-	// is made, exactly as before.
+	// engine.Pending (dedup by update ref, newest version wins, requester
+	// clocks merged pointwise-minimum) drained in later rounds — the same
+	// merge rules the live runtime's coalescing senders run, exercised
+	// deterministically by the scenarios. Zero disables the budget: every
+	// send goes out the round it is made.
 	LinkBudget int
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"github.com/p2pgossip/update/internal/engine"
@@ -47,11 +48,11 @@ type Peer struct {
 	snapshot  []byte
 	bootstrap []int
 
-	// Link-budget coalescing state (coalesce.go), active only with
-	// cfg.LinkBudget > 0: per-destination pending deltas for over-budget
-	// traffic, tokens spent per destination this round, and the lifetime
-	// peak pending size the scenario invariants read.
-	pendingOut  map[int]*simPending
+	// Link-budget coalescing state, active only with cfg.LinkBudget > 0:
+	// per-destination pending deltas for over-budget traffic (the engine's
+	// shared merge rules), tokens spent per destination this round, and the
+	// lifetime peak pending size the scenario invariants read.
+	pendingOut  map[int]*engine.Pending[int]
 	spent       map[int]int
 	spentRound  int
 	peakPending int
@@ -102,21 +103,70 @@ func (p *Peer) refreshBudget() {
 	}
 }
 
-// emit puts one engine message on the simulated wire, charging the byte
-// size the live binary codec would. Deferred pull responses — an intent
-// carrying only the requester's clock (Config.DeferPullRender, on exactly
-// when LinkBudget is) — are rendered here, at transmission time, into a
-// delta or a snapshot.
-func (p *Peer) emit(to int, m engine.Message[int]) {
-	if m.Kind == engine.KindPullResp && m.Updates == nil && m.Clock != nil {
-		updates, snapshot, ok := p.eng.RenderPullResp(m.Clock)
-		if !ok {
-			return
+// deposit merges one over-budget message into the destination's pending
+// delta and tracks the peak pending size for the scenario invariant.
+func (p *Peer) deposit(to int, m engine.Message[int]) {
+	if p.pendingOut == nil {
+		p.pendingOut = make(map[int]*engine.Pending[int])
+	}
+	sp := p.pendingOut[to]
+	if sp == nil {
+		sp = new(engine.Pending[int])
+		p.pendingOut[to] = sp
+	}
+	sp.Add(m)
+	if n := sp.Len(); n > p.peakPending {
+		p.peakPending = n
+	}
+}
+
+// drainPending spends each destination's remaining budget on its pending
+// delta, in sorted destination order so the deterministic message stream
+// does not depend on map iteration. Everything is late-bound: flooding
+// lists from the engine's current state, the pull-request clock from the
+// store, and the pull response from the merged clock (in emit). The
+// remainder stays pending for the next round.
+func (p *Peer) drainPending() {
+	if len(p.pendingOut) == 0 {
+		return
+	}
+	dests := make([]int, 0, len(p.pendingOut))
+	for to := range p.pendingOut {
+		dests = append(dests, to)
+	}
+	sort.Ints(dests)
+	for _, to := range dests {
+		sp := p.pendingOut[to]
+		for _, m := range sp.Drain(p.cfg.LinkBudget - p.spent[to]) {
+			switch m.Kind {
+			case engine.KindPush:
+				m.RF, _ = p.eng.RenderPush(m.Update.Ref())
+			case engine.KindPullReq:
+				m.Clock = p.st.Clock()
+			}
+			p.emit(to, m)
+			p.spent[to]++
 		}
-		if snapshot != nil {
-			m = engine.Message[int]{Kind: engine.KindSnapshot, Snapshot: snapshot, Peers: m.Peers}
-		} else {
-			m = engine.Message[int]{Kind: engine.KindPullResp, Updates: updates, Peers: m.Peers}
+		if sp.Len() == 0 {
+			delete(p.pendingOut, to)
+		}
+	}
+}
+
+// PeakPendingPerDest reports the largest pending-delta size (distinct
+// coalesced items) any single destination accumulated over the peer's
+// lifetime. Zero unless LinkBudget is set. The slow-link scenarios assert
+// this stays bounded by the live-state size rather than traffic volume.
+func (p *Peer) PeakPendingPerDest() int { return p.peakPending }
+
+// emit puts one engine message on the simulated wire, charging the byte
+// size the live binary codec would. The engine's pull-response intents are
+// rendered here, at transmission time, into a delta or a snapshot.
+func (p *Peer) emit(to int, m engine.Message[int]) {
+	if m.Kind == engine.KindPullResp {
+		var ok bool
+		if m, ok = p.eng.RenderPullResp(m); !ok {
+			return
 		}
 	}
 	env := p.env
@@ -209,7 +259,6 @@ func NewPeer(id int, cfg Config) (*Peer, error) {
 		SnapshotCatchUp:  cfg.SnapshotCatchUp,
 		FrontierTTL:      int64(cfg.FrontierTTL),
 		QueryTimeout:     queryTimeoutRounds,
-		DeferPullRender:  cfg.LinkBudget > 0,
 		Hooks: engine.Hooks[int]{
 			OnLearned: func(n int) {
 				p.env.Metrics().Add(MetricReplicasLearned, float64(n))

@@ -144,10 +144,11 @@ func (c Config) Validate() error {
 //
 // Replica is a thin adapter: the §4/§6 state machine lives in
 // internal/engine, shared verbatim with the simulator. This type serialises
-// engine access behind a mutex, converts engine messages to wire envelopes,
-// and — because transports deliver synchronously — queues outbound sends and
-// hook events during each engine call and flushes them after releasing the
-// lock, so no transport or user callback ever runs under the mutex.
+// engine access behind a mutex, queues outbound sends and hook events during
+// each engine call, and after releasing the lock fires the events and
+// deposits the sends into per-peer coalescing senders (sender.go), which
+// render wire envelopes and drive the transport from their own goroutines.
+// No transport or user callback ever runs under the mutex.
 type Replica struct {
 	cfg       Config
 	transport Transport
@@ -158,16 +159,9 @@ type Replica struct {
 	mu      sync.Mutex
 	eng     *engine.Engine[string]
 	rng     *rand.Rand
-	outbox  []outboundBatch
+	outbox  []outboundMsg
 	pending []protoEvent
 
-	// coalesce selects the per-peer coalescing sender path (sender.go). It
-	// is on exactly when the transport can accept pre-encoded frames —
-	// i.e. on TCP — and off on the synchronous in-memory transports, whose
-	// direct delivery the cross-validation tests depend on. The engine's
-	// DeferPullRender follows it: with coalescing on, pull responses leave
-	// the engine as unrendered intents and are rendered at send time.
-	coalesce bool
 	// sendMu guards the sender registry. sendStopped mirrors the replica
 	// stopping so no sender goroutine can be registered after Stop begins
 	// waiting on bg.
@@ -184,14 +178,12 @@ type Replica struct {
 	once sync.Once
 }
 
-// outboundBatch is one queued transport send: one engine message bound for
-// one or more destinations, converted to wire form after the replica lock
-// is released. The engine's push fanout emits the same message to k peers
-// back to back; the endpoint coalesces those into a single batch so the
-// flush encodes the envelope once and reuses the bytes for every
-// destination (via FrameSender when the transport offers it).
-type outboundBatch struct {
-	tos []string
+// outboundMsg is one queued engine send, deposited into the destination's
+// sender after the replica lock is released. The sender renders its merged
+// delta and hands it to the transport as one FrameBatchSender write, or
+// envelope by envelope through Send when the transport has no batch path.
+type outboundMsg struct {
+	to  string
 	msg engine.Message[string]
 }
 
@@ -224,28 +216,7 @@ func (ep liveEndpoint) Self() string     { return ep.r.addr }
 func (ep liveEndpoint) Now() int64       { return time.Now().UnixNano() }
 func (ep liveEndpoint) Rand() *rand.Rand { return ep.r.rng }
 func (ep liveEndpoint) Send(to string, m engine.Message[string]) {
-	r := ep.r
-	if m.Kind == engine.KindPush && len(r.outbox) > 0 {
-		// The engine's sendPushes loop emits one identical message per
-		// target: same update, same round counter, and the same carried-list
-		// slice (compared by identity — the engine renders it once per
-		// batch). Fold consecutive targets into the previous batch.
-		last := &r.outbox[len(r.outbox)-1]
-		if last.msg.Kind == engine.KindPush && last.msg.T == m.T &&
-			last.msg.Update.Origin == m.Update.Origin &&
-			last.msg.Update.Seq == m.Update.Seq &&
-			sameSlice(last.msg.RF, m.RF) {
-			last.tos = append(last.tos, to)
-			return
-		}
-	}
-	r.outbox = append(r.outbox, outboundBatch{tos: []string{to}, msg: m})
-}
-
-// sameSlice reports whether two slices are the same view of the same
-// backing array (identity, not element comparison).
-func sameSlice(a, b []string) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	ep.r.outbox = append(ep.r.outbox, outboundMsg{to: to, msg: m})
 }
 
 // NewReplica builds a replica on the given transport. The transport's
@@ -265,14 +236,12 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 	if retain == 0 {
 		retain = store.DefaultTombstoneRetention
 	}
-	_, framed := transport.(FrameSender)
 	r := &Replica{
 		cfg:       cfg,
 		transport: transport,
 		addr:      transport.Addr(),
 		st:        store.NewShardedWithRetention(cfg.Shards, retain),
 		rng:       rand.New(rand.NewSource(seed)),
-		coalesce:  framed,
 		senders:   make(map[string]*peerSender),
 		stop:      make(chan struct{}),
 	}
@@ -296,7 +265,6 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 		FrontierTTL:     cfg.frontierTTL().Nanoseconds(),
 		LazySweep:       true,
 		QueryLocalVoice: true,
-		DeferPullRender: r.coalesce,
 		ValidID:         func(addr string) bool { return addr != "" },
 		Hooks: engine.Hooks[string]{
 			OnApply: func(u store.Update, res store.ApplyResult, src Source, branches int) {
@@ -338,7 +306,7 @@ func (r *Replica) run(f func(e *engine.Engine[string])) {
 	r.flush(events, out)
 }
 
-func (r *Replica) flush(events []protoEvent, out []outboundBatch) {
+func (r *Replica) flush(events []protoEvent, out []outboundMsg) {
 	for _, ev := range events {
 		switch ev.kind {
 		case evApply:
@@ -357,110 +325,26 @@ func (r *Replica) flush(events []protoEvent, out []outboundBatch) {
 			}
 		}
 	}
-	if r.coalesce {
-		r.depositOut(out)
-		return
-	}
+	// Sends merge by class into the per-peer coalescing senders
+	// (engine.Pending). Their metrics fire at transmission time in the
+	// sender, not here — a coalesced-away push was never sent.
 	for i := range out {
-		b := &out[i]
-		env := envelopeFromEngine(r.addr, b.msg)
-		if r.cfg.Metrics != nil {
-			var name string
-			switch env.Kind {
-			case wire.KindPush:
-				name = MetricPushSent
-			case wire.KindPullReq:
-				name = MetricPullRequests
-			case wire.KindPullResp:
-				name = MetricPullServed
-			case wire.KindAck:
-				name = MetricAckSent
-			case wire.KindQuery:
-				name = MetricQuerySent
-			case wire.KindSnapshot:
-				name = MetricSnapshotServed
-			}
-			if name != "" {
-				r.cfg.Metrics.Add(name, float64(len(b.tos)))
-			}
-		}
-		// Offline targets are the normal case; send errors are dropped.
-		for _, to := range b.tos {
-			_ = r.transport.Send(to, env)
-		}
+		r.depositTo(out[i].to, out[i].msg)
 	}
 }
 
-// depositOut routes one flushed outbox into the per-peer coalescing
-// senders: pushes, acks, pull requests, and pull-response intents merge by
-// class (sender.go); query traffic, which cannot merge, rides along as
-// rendered envelopes. Metrics for these sends fire at transmission time in
-// the sender, not here — a coalesced-away push was never sent.
-func (r *Replica) depositOut(out []outboundBatch) {
-	for i := range out {
-		b := &out[i]
-		switch b.msg.Kind {
-		case engine.KindPush:
-			u, t := b.msg.Update, b.msg.T
-			for _, to := range b.tos {
-				r.depositTo(to, func(p *pendingDelta) (int, int, int) {
-					c, d := p.addPush(u, t)
-					return c, 0, d
-				})
-			}
-		case engine.KindAck:
-			ref := b.msg.UpdateRef
-			for _, to := range b.tos {
-				r.depositTo(to, func(p *pendingDelta) (int, int, int) {
-					c, d := p.addAck(ref)
-					return c, 0, d
-				})
-			}
-		case engine.KindPullReq:
-			for _, to := range b.tos {
-				r.depositTo(to, func(p *pendingDelta) (int, int, int) {
-					c, d := p.addPullReq()
-					return c, 0, d
-				})
-			}
-		case engine.KindPullResp:
-			if b.msg.Clock != nil && b.msg.Updates == nil {
-				// The engine's deferred intent: requester clock plus peer
-				// sample, rendered at send time.
-				clock, peers := b.msg.Clock, b.msg.Peers
-				for _, to := range b.tos {
-					r.depositTo(to, func(p *pendingDelta) (int, int, int) {
-						c, d := p.addPullResp(clock, peers)
-						return c, 0, d
-					})
-				}
-				break
-			}
-			fallthrough
-		default:
-			env := envelopeFromEngine(r.addr, b.msg)
-			for _, to := range b.tos {
-				r.depositTo(to, func(p *pendingDelta) (int, int, int) {
-					dropped, d := p.addAux(env)
-					return 0, dropped, d
-				})
-			}
-		}
-	}
-}
-
-// depositTo merges one deposit into the destination's sender, creating it
+// depositTo merges one message into the destination's sender, creating it
 // on demand. A sender caught mid-retire rejects the deposit; the loop then
 // observes a fresh registry state and retries, so deposits are never lost
 // to the idle-retire race. A nil sender means the replica is stopping and
 // the deposit is intentionally dropped.
-func (r *Replica) depositTo(to string, f func(*pendingDelta) (coalesced, dropped, delta int)) {
+func (r *Replica) depositTo(to string, m engine.Message[string]) {
 	for {
 		s := r.senderFor(to)
 		if s == nil {
 			return
 		}
-		if s.deposit(f) {
+		if s.deposit(m) {
 			return
 		}
 	}

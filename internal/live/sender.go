@@ -4,31 +4,22 @@ import (
 	"sync"
 	"time"
 
-	"github.com/p2pgossip/update/internal/store"
-	"github.com/p2pgossip/update/internal/version"
+	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/wire"
 )
 
 // This file implements the coalescing per-peer delta senders (the weave
-// GossipSender shape): one goroutine and one pending delta per destination.
-// Engine sends are deposited into the destination's pending delta and the
-// sender goroutine drains it through the transport. While a link is busy —
-// the transport write is synchronous, so a slow peer parks exactly its own
-// sender — new deposits MERGE into the pending delta instead of queueing:
-//
-//   - pushes dedup by store.Ref and newer versions of a key supersede
-//     pending dominated ones (the receiver's clock gap, if any, is repaired
-//     by ordinary pull anti-entropy);
-//   - pull responses collapse to the pointwise-minimum requester clock, so
-//     one rendered response covers every outstanding request;
-//   - pull requests and acks are idempotent flags/sets.
-//
-// Pending state therefore stays O(live state) per destination, not
-// O(traffic), and nothing is rendered at deposit time: the partial-flooding
-// list, the pull-response delta (or snapshot), and the pull-request clock
-// are all produced at transmission time (engine.RenderPush /
-// engine.RenderPullResp, store.Clock), so a slow consumer receives the
-// newest superset rather than a replay of stale frames.
+// GossipSender shape): one goroutine and one engine.Pending per destination.
+// Every engine send is deposited into the destination's pending delta and
+// the sender goroutine drains it through the transport. While a link is
+// busy — the transport write is synchronous, so a slow peer parks exactly
+// its own sender — new deposits merge into the pending delta by the
+// engine's rules (internal/engine/pending.go) instead of queueing, and
+// nothing is rendered until transmission: the partial-flooding list, the
+// pull-response delta (or snapshot), and the pull-request clock are all
+// produced when the batch leaves (engine.RenderPush, engine.RenderPullResp,
+// store.Clock), so a slow consumer receives the newest superset rather than
+// a replay of stale frames.
 
 // senderIdleTimeout is how long a peer sender with nothing pending lingers
 // before retiring its goroutine. Senders are recreated transparently on the
@@ -36,199 +27,11 @@ import (
 // rate, not correctness.
 const senderIdleTimeout = time.Minute
 
-// maxPendingAux caps the non-mergeable envelope classes (queries, query
-// responses) a pending delta will hold for a stalled destination. These
-// carry request/response semantics and cannot coalesce; beyond the cap the
-// oldest are dropped (counted as MetricSendFailed) — queries time out and
-// retry at the protocol layer, so dropping is safe and keeps even the aux
-// portion of pending state bounded.
-const maxPendingAux = 1024
-
-// pendingPush is one coalesced outbound push: the update plus the round
-// counter it would have carried. The flooding list is deliberately absent —
-// it is re-rendered from live engine state at send time.
-type pendingPush struct {
-	u store.Update
-	t int
-}
-
-// pendingDelta is everything owed to one destination, in mergeable form.
-// All methods require external synchronisation (peerSender.mu) and return
-// the change in the estimated byte footprint plus how many deposits merged
-// into existing state instead of growing it.
-type pendingDelta struct {
-	// entries holds the coalesced pushes keyed by update identity; order
-	// preserves first-deposit order for rendering (stale refs — superseded
-	// entries — are skipped at render). byKey indexes entries by key so a
-	// newer version can displace dominated pending ones in O(branches).
-	entries map[store.Ref]pendingPush
-	order   []store.Ref
-	byKey   map[string][]store.Ref
-
-	// acks is the deduplicated set of update refs to acknowledge.
-	acks   []store.Ref
-	ackSet map[store.Ref]struct{}
-
-	// pullReq records that at least one anti-entropy request is owed; the
-	// clock is rendered from the store at send time, so later is only ever
-	// better.
-	pullReq bool
-
-	// pullResp records an owed pull response as the pointwise-minimum of
-	// every outstanding requester clock (an origin absent from either clock
-	// counts as zero and drops out); rendering DeltaFor(min) at send time
-	// yields a superset of every coalesced request's gap. pullRespPeers is
-	// the latest membership sample to piggyback.
-	pullResp      bool
-	pullRespClock version.Clock
-	pullRespPeers []string
-
-	// aux holds rendered envelopes that cannot merge (query traffic),
-	// bounded by maxPendingAux.
-	aux []wire.Envelope
-
-	// bytes is the estimated footprint of everything above, maintained
-	// incrementally so the replica can expose a cheap pending-memory gauge.
-	bytes int
-}
-
-func newPendingDelta() pendingDelta {
-	return pendingDelta{
-		entries: make(map[store.Ref]pendingPush),
-		byKey:   make(map[string][]store.Ref),
-		ackSet:  make(map[store.Ref]struct{}),
-	}
-}
-
-func (p *pendingDelta) empty() bool {
-	return len(p.entries) == 0 && len(p.acks) == 0 && !p.pullReq &&
-		!p.pullResp && len(p.aux) == 0
-}
-
-// Fixed-size estimates for the non-payload pending classes.
-const (
-	pendingAckBytes  = 24
-	pendingFlagBytes = 16
-	pendingAuxBase   = 64
-)
-
-func pendingClockBytes(c version.Clock) int {
-	n := pendingFlagBytes
-	for origin := range c {
-		n += len(origin) + 8
-	}
-	return n
-}
-
-// addPush merges one outbound push. Same ref: the round counter refreshes
-// in place. New ref: any pending entry for the same key whose version is
-// dominated by the newcomer is displaced, and the newcomer itself is
-// dropped when a pending entry already dominates it — newest version wins
-// in both directions. Concurrent branches coexist.
-func (p *pendingDelta) addPush(u store.Update, t int) (coalesced, delta int) {
-	ref := u.Ref()
-	if e, ok := p.entries[ref]; ok {
-		e.t = t
-		p.entries[ref] = e
-		return 1, 0
-	}
-	refs := p.byKey[u.Key]
-	for _, other := range refs {
-		if e, ok := p.entries[other]; ok && e.u.Version.Dominates(u.Version) {
-			// A pending entry already carries this key at or past the
-			// deposited version; the deposit is fully absorbed.
-			return 1, 0
-		}
-	}
-	kept := refs[:0]
-	for _, other := range refs {
-		e, ok := p.entries[other]
-		if !ok {
-			continue // stale index entry
-		}
-		if u.Version.Dominates(e.u.Version) {
-			delete(p.entries, other)
-			coalesced++
-			delta -= e.u.SizeBytes()
-			continue
-		}
-		kept = append(kept, other)
-	}
-	p.entries[ref] = pendingPush{u: u, t: t}
-	p.order = append(p.order, ref)
-	p.byKey[u.Key] = append(kept, ref)
-	delta += u.SizeBytes()
-	p.bytes += delta
-	return coalesced, delta
-}
-
-// addAck records one acknowledgement, deduplicated by ref.
-func (p *pendingDelta) addAck(ref store.Ref) (coalesced, delta int) {
-	if _, ok := p.ackSet[ref]; ok {
-		return 1, 0
-	}
-	p.ackSet[ref] = struct{}{}
-	p.acks = append(p.acks, ref)
-	p.bytes += pendingAckBytes
-	return 0, pendingAckBytes
-}
-
-// addPullReq records that an anti-entropy request is owed.
-func (p *pendingDelta) addPullReq() (coalesced, delta int) {
-	if p.pullReq {
-		return 1, 0
-	}
-	p.pullReq = true
-	p.bytes += pendingFlagBytes
-	return 0, pendingFlagBytes
-}
-
-// addPullResp merges an owed pull response: the pending clock becomes the
-// pointwise minimum of itself and the new requester clock (missing origins
-// count as zero and drop out), and the piggybacked peer sample is replaced
-// by the newest one. The pending delta takes ownership of both arguments.
-func (p *pendingDelta) addPullResp(clock version.Clock, peers []string) (coalesced, delta int) {
-	if !p.pullResp {
-		p.pullResp = true
-		p.pullRespClock = clock
-		p.pullRespPeers = peers
-		delta = pendingClockBytes(clock)
-		p.bytes += delta
-		return 0, delta
-	}
-	old := p.bytes
-	for origin, have := range p.pullRespClock {
-		if nv, ok := clock[origin]; !ok {
-			delete(p.pullRespClock, origin)
-			p.bytes -= len(origin) + 8
-		} else if nv < have {
-			p.pullRespClock[origin] = nv
-		}
-	}
-	p.pullRespPeers = peers
-	return 1, p.bytes - old
-}
-
-// addAux appends a non-mergeable envelope, dropping the oldest beyond
-// maxPendingAux. dropped counts envelopes discarded undelivered.
-func (p *pendingDelta) addAux(env wire.Envelope) (dropped, delta int) {
-	p.aux = append(p.aux, env)
-	delta = pendingAuxBase + len(env.Key) + len(env.Value) + len(env.Snapshot)
-	if len(p.aux) > maxPendingAux {
-		victim := p.aux[0]
-		delta -= pendingAuxBase + len(victim.Key) + len(victim.Value) + len(victim.Snapshot)
-		copy(p.aux, p.aux[1:])
-		p.aux = p.aux[:len(p.aux)-1]
-		dropped = 1
-	}
-	p.bytes += delta
-	return dropped, delta
-}
-
 // peerSender owns all outbound traffic to one destination: a pending delta
 // deposits merge into, and a goroutine (run) that drains it through the
 // transport. The transport write is synchronous, so a slow destination
 // blocks only its own sender while the pending delta coalesces behind it.
+// Every transport, the in-memory Hub included, sends through these.
 type peerSender struct {
 	r  *Replica
 	to string
@@ -238,25 +41,25 @@ type peerSender struct {
 	wake chan struct{}
 
 	mu      sync.Mutex
-	p       pendingDelta
+	p       engine.Pending[string]
 	closing bool
 }
 
 func newPeerSender(r *Replica, to string) *peerSender {
-	return &peerSender{r: r, to: to, wake: make(chan struct{}, 1), p: newPendingDelta()}
+	return &peerSender{r: r, to: to, wake: make(chan struct{}, 1)}
 }
 
-// deposit applies one merge to the pending delta. It reports false when the
-// sender is retiring — the caller must fetch a fresh sender and retry — and
-// otherwise fires the coalescing/drop counters and the pending-bytes gauge
-// outside the sender lock and nudges the run loop.
-func (s *peerSender) deposit(f func(p *pendingDelta) (coalesced, dropped, delta int)) bool {
+// deposit merges one engine message into the pending delta. It reports
+// false when the sender is retiring — the caller must fetch a fresh sender
+// and retry — and otherwise fires the coalescing/drop counters and the
+// pending-bytes gauge outside the sender lock and nudges the run loop.
+func (s *peerSender) deposit(m engine.Message[string]) bool {
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
 		return false
 	}
-	coalesced, dropped, delta := f(&s.p)
+	coalesced, dropped, delta := s.p.Add(m)
 	s.mu.Unlock()
 	if coalesced > 0 {
 		s.r.add(MetricSendCoalesced, coalesced)
@@ -305,15 +108,12 @@ func (s *peerSender) run() {
 
 // take swaps the pending delta out under the lock, leaving a fresh one for
 // concurrent deposits.
-func (s *peerSender) take() (pendingDelta, bool) {
+func (s *peerSender) take() (engine.Pending[string], bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.p.empty() {
-		return pendingDelta{}, false
-	}
 	p := s.p
-	s.p = newPendingDelta()
-	return p, true
+	s.p = engine.Pending[string]{}
+	return p, p.Len() > 0
 }
 
 // deliver renders and transmits pending deltas until none remain. Deposits
@@ -324,88 +124,69 @@ func (s *peerSender) deliver() {
 		if !ok {
 			return
 		}
-		s.r.notePendingBytes(int64(-p.bytes))
-		s.send(s.render(&p))
+		s.r.notePendingBytes(int64(-p.Bytes()))
+		s.send(s.render(p.Drain(p.Len())))
 	}
 }
 
-// render converts one taken pending delta into wire envelopes, late-binding
-// everything that depends on current state: flooding lists from the engine,
-// the pull-request clock from the store, and the pull response (delta or
-// snapshot) from the coalesced minimum requester clock. Protocol counters
-// fire here — at actual transmission — not at deposit.
-func (s *peerSender) render(p *pendingDelta) []wire.Envelope {
+// render converts one drained pending delta into wire envelopes,
+// late-binding everything that depends on current state: flooding lists
+// from the engine, the pull-request clock from the store, and the pull
+// response (delta or snapshot) from the merged requester clock. Protocol
+// counters fire here — at actual transmission — not at deposit.
+func (s *peerSender) render(msgs []engine.Message[string]) []wire.Envelope {
 	r := s.r
-	envs := make([]wire.Envelope, 0, len(p.order)+len(p.acks)+len(p.aux)+2)
-	// Acks first: they are cheap and unblock the peer's §6 retransmit state.
-	for _, ref := range p.acks {
-		envs = append(envs, wire.Envelope{From: r.addr, Kind: wire.KindAck, UpdateRef: ref})
-	}
-	if n := len(p.acks); n > 0 {
-		r.add(MetricAckSent, n)
-	}
-	if len(p.order) > 0 {
-		pushes := 0
-		r.mu.Lock()
-		for _, ref := range p.order {
-			e, ok := p.entries[ref]
-			if !ok {
-				continue // superseded while pending
-			}
-			delete(p.entries, ref)
-			// Late-bound flooding list: the engine's current carried list
-			// for the update, not the one frozen at deposit. Updates the
-			// engine no longer tracks still ship, with no list.
-			rf, _ := r.eng.RenderPush(ref)
-			envs = append(envs, wire.Envelope{
-				From: r.addr, Kind: wire.KindPush,
-				Update: detach(e.u), RF: rf, T: e.t,
-			})
-			pushes++
+	// Pushes drain contiguously; their lists render under one acquisition
+	// of the replica lock. Updates the engine no longer tracks still ship,
+	// with no list.
+	locked := false
+	for i := range msgs {
+		if msgs[i].Kind != engine.KindPush {
+			continue
 		}
+		if !locked {
+			r.mu.Lock()
+			locked = true
+		}
+		msgs[i].RF, _ = r.eng.RenderPush(msgs[i].Update.Ref())
+	}
+	if locked {
 		r.mu.Unlock()
-		if pushes > 0 {
-			r.add(MetricPushSent, pushes)
-		}
 	}
-	if p.pullReq {
-		envs = append(envs, wire.Envelope{
-			From: r.addr, Kind: wire.KindPullReq, Clock: r.st.Clock(),
-		})
-		r.inc(MetricPullRequests)
-	}
-	if p.pullResp {
-		// RenderPullResp reads only the store and immutable config, so it
-		// runs without the replica lock — snapshot encoding for a far-behind
-		// peer never stalls the protocol.
-		if updates, snapshot, ok := r.eng.RenderPullResp(p.pullRespClock); ok {
-			if snapshot != nil {
-				envs = append(envs, wire.Envelope{
-					From: r.addr, Kind: wire.KindSnapshot,
-					Snapshot: snapshot, KnownPeers: p.pullRespPeers,
-				})
-				r.inc(MetricSnapshotServed)
-			} else {
-				envs = append(envs, wire.Envelope{
-					From: r.addr, Kind: wire.KindPullResp,
-					Updates: detachAll(updates), KnownPeers: p.pullRespPeers,
-				})
-				r.inc(MetricPullServed)
+	envs := make([]wire.Envelope, 0, len(msgs))
+	var sent [len(sentMetric)]int
+	for _, m := range msgs {
+		switch m.Kind {
+		case engine.KindPullReq:
+			m.Clock = r.st.Clock()
+		case engine.KindPullResp:
+			// RenderPullResp reads only the store and immutable config, so
+			// it runs without the replica lock — snapshot encoding for a
+			// far-behind peer never stalls the protocol.
+			var ok bool
+			if m, ok = r.eng.RenderPullResp(m); !ok {
+				continue
 			}
 		}
+		sent[m.Kind]++
+		envs = append(envs, envelopeFromEngine(r.addr, m))
 	}
-	for _, env := range p.aux {
-		switch env.Kind {
-		case wire.KindQuery:
-			r.inc(MetricQuerySent)
-		case wire.KindPullResp:
-			r.inc(MetricPullServed)
-		case wire.KindSnapshot:
-			r.inc(MetricSnapshotServed)
+	for kind, n := range sent {
+		if n > 0 && sentMetric[kind] != "" {
+			r.add(sentMetric[kind], n)
 		}
-		envs = append(envs, env)
 	}
 	return envs
+}
+
+// sentMetric names the counter each transmitted message kind bumps.
+var sentMetric = [...]string{
+	engine.KindPush:     MetricPushSent,
+	engine.KindPullReq:  MetricPullRequests,
+	engine.KindPullResp: MetricPullServed,
+	engine.KindAck:      MetricAckSent,
+	engine.KindQuery:    MetricQuerySent,
+	engine.KindSnapshot: MetricSnapshotServed,
 }
 
 // send transmits one rendered batch: encoded once into frames and flushed
@@ -454,7 +235,7 @@ func (s *peerSender) tryRetire() bool {
 	r := s.r
 	r.sendMu.Lock()
 	s.mu.Lock()
-	if !s.p.empty() {
+	if s.p.Len() > 0 {
 		s.mu.Unlock()
 		r.sendMu.Unlock()
 		return false
@@ -472,8 +253,8 @@ func (s *peerSender) tryRetire() bool {
 func (s *peerSender) discard() {
 	s.mu.Lock()
 	s.closing = true
-	n := s.p.bytes
-	s.p = pendingDelta{}
+	n := s.p.Bytes()
+	s.p = engine.Pending[string]{}
 	s.mu.Unlock()
 	if n != 0 {
 		s.r.notePendingBytes(int64(-n))

@@ -2,123 +2,21 @@ package live
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/p2pgossip/update/internal/store"
-	"github.com/p2pgossip/update/internal/version"
-	"github.com/p2pgossip/update/internal/wire"
 )
 
 // Tests for the coalescing per-peer senders that replaced the bounded
-// per-connection frame queue: the pending-delta merge rules in isolation,
-// and the three behaviours the old writer queue could not give — bounded
-// sender memory behind a wedged consumer, recovery with the newest merged
+// per-connection frame queue (the merge rules themselves are tested in
+// internal/engine): the three behaviours the old writer queue could not
+// give — bounded sender memory behind a wedged consumer, recovery with the newest merged
 // state after a peer restarts on its address, and a disconnecting peer
 // taking down only its own pending state.
-
-func testWriter(t *testing.T, origin string) *store.Writer {
-	t.Helper()
-	w, err := store.NewWriter(origin, store.New(), time.Now, rand.New(rand.NewSource(42)))
-	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
-	}
-	return w
-}
-
-func TestPendingDeltaPushCoalescing(t *testing.T) {
-	w := testWriter(t, "w")
-	v1 := w.Put("k", []byte("one"))
-	v2 := w.Put("k", []byte("two")) // dominates v1
-	other := w.Put("other", []byte("x"))
-
-	p := newPendingDelta()
-	if c, d := p.addPush(v1, 1); c != 0 || d != v1.SizeBytes() {
-		t.Fatalf("first deposit coalesced %d, delta %d", c, d)
-	}
-	if c, _ := p.addPush(other, 1); c != 0 {
-		t.Fatalf("unrelated key coalesced %d", c)
-	}
-	// The newer version displaces the pending dominated one.
-	if c, d := p.addPush(v2, 2); c != 1 || d != v2.SizeBytes()-v1.SizeBytes() {
-		t.Fatalf("displacing deposit coalesced %d, delta %d", c, d)
-	}
-	if _, ok := p.entries[v1.Ref()]; ok {
-		t.Fatal("dominated push still pending after displacement")
-	}
-	// A dominated version arriving late is absorbed without growing state.
-	if c, d := p.addPush(v1, 3); c != 1 || d != 0 {
-		t.Fatalf("absorbed deposit coalesced %d, delta %d", c, d)
-	}
-	// Same ref again only refreshes the round counter.
-	if c, d := p.addPush(v2, 9); c != 1 || d != 0 {
-		t.Fatalf("same-ref deposit coalesced %d, delta %d", c, d)
-	}
-	if got := p.entries[v2.Ref()].t; got != 9 {
-		t.Fatalf("round counter %d, want refreshed 9", got)
-	}
-	if len(p.entries) != 2 {
-		t.Fatalf("%d entries pending, want v2 and other", len(p.entries))
-	}
-	if want := v2.SizeBytes() + other.SizeBytes(); p.bytes != want {
-		t.Fatalf("tracked %dB, want %dB", p.bytes, want)
-	}
-}
-
-func TestPendingDeltaPullRespMerge(t *testing.T) {
-	p := newPendingDelta()
-	if c, _ := p.addPullResp(version.Clock{"a": 5, "b": 3}, []string{"x"}); c != 0 {
-		t.Fatalf("first pull response coalesced %d", c)
-	}
-	// Merging takes the pointwise minimum; an origin missing from either
-	// side counts as zero and drops out. The peer sample is the newest one.
-	if c, _ := p.addPullResp(version.Clock{"a": 2, "c": 9}, []string{"y"}); c != 1 {
-		t.Fatalf("second pull response coalesced %d", c)
-	}
-	if len(p.pullRespClock) != 1 || p.pullRespClock["a"] != 2 {
-		t.Fatalf("merged clock %v, want {a:2}", p.pullRespClock)
-	}
-	if len(p.pullRespPeers) != 1 || p.pullRespPeers[0] != "y" {
-		t.Fatalf("merged peers %v, want the newest sample", p.pullRespPeers)
-	}
-	// Idempotent flag classes dedup too.
-	if c, _ := p.addPullReq(); c != 0 {
-		t.Fatalf("first pull request coalesced %d", c)
-	}
-	if c, d := p.addPullReq(); c != 1 || d != 0 {
-		t.Fatalf("repeat pull request coalesced %d, delta %d", c, d)
-	}
-	ref := store.Ref{Origin: "o", Seq: 1}
-	if c, _ := p.addAck(ref); c != 0 {
-		t.Fatalf("first ack coalesced %d", c)
-	}
-	if c, d := p.addAck(ref); c != 1 || d != 0 {
-		t.Fatalf("repeat ack coalesced %d, delta %d", c, d)
-	}
-}
-
-func TestPendingDeltaAuxCap(t *testing.T) {
-	p := newPendingDelta()
-	dropped := 0
-	for i := 0; i < maxPendingAux+7; i++ {
-		env := wire.Envelope{Kind: wire.KindQuery, Key: fmt.Sprintf("q-%d", i)}
-		d, _ := p.addAux(env)
-		dropped += d
-	}
-	if dropped != 7 {
-		t.Fatalf("%d aux envelopes dropped, want 7 beyond the cap", dropped)
-	}
-	if len(p.aux) != maxPendingAux {
-		t.Fatalf("%d aux pending, want the cap %d", len(p.aux), maxPendingAux)
-	}
-	// Oldest dropped first: the survivors start at q-7.
-	if p.aux[0].Key != "q-7" {
-		t.Fatalf("oldest surviving aux %q, want q-7", p.aux[0].Key)
-	}
-}
 
 // TestSlowConsumerBoundedPending wedges one consumer completely — it accepts
 // the publisher's connection and never reads a byte — while the publisher
@@ -416,4 +314,87 @@ func TestDisconnectMidCoalesceDropsOnlyItsPending(t *testing.T) {
 		current, _ := pub.PendingSendBytes()
 		return current == 0
 	}, "pending gauge never drained after the churning peer died")
+}
+
+// TestHubSendsThroughCoalescingSender: a replica on the in-memory Hub sends
+// through the same per-peer coalescing sender as on TCP. The receiver's
+// handler is parked on the first push, which parks exactly the publisher's
+// sender for it; the next two versions of the key then merge in the pending
+// delta, so the intermediate one is never pushed and the receiver converges
+// on the newest once released.
+func TestHubSendsThroughCoalescingSender(t *testing.T) {
+	hub := NewHub()
+	attach := func(addr string, cfg Config) *Replica {
+		t.Helper()
+		tr, err := hub.Attach(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReplica(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Stop)
+		return r
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var (
+		mu     sync.Mutex
+		pushed []store.Ref
+	)
+	var parked atomic.Bool
+	recv := attach("recv", Config{Seed: 2, Hooks: Hooks{
+		OnApply: func(u store.Update, _ store.ApplyResult, src Source, _ int) {
+			if src == SourcePush {
+				mu.Lock()
+				pushed = append(pushed, u.Ref())
+				mu.Unlock()
+			}
+			if parked.CompareAndSwap(false, true) {
+				close(entered)
+				<-release
+			}
+		},
+	}})
+	rec := &recordingMetrics{}
+	pub := attach("pub", Config{Fanout: 1, Seed: 1, Metrics: rec})
+	pub.AddPeers("recv")
+
+	published := make(chan store.Update, 1)
+	go func() {
+		u, _ := pub.Publish("k", []byte("v1"))
+		published <- u
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("receiver never saw the first push")
+	}
+	v2, _ := pub.Publish("k", []byte("v2"))
+	v3, _ := pub.Publish("k", []byte("v3"))
+	close(release)
+	<-published
+
+	eventually(t, 5*time.Second, func() bool {
+		rev, ok := recv.Get("k")
+		return ok && string(rev.Value) == "v3"
+	}, "receiver did not converge on v3")
+	if got := rec.observed()[MetricSendCoalesced]; got < 1 {
+		t.Fatalf("%s = %v, want ≥ 1: v3 should displace the pending v2", MetricSendCoalesced, got)
+	}
+	if _, peak := pub.PendingSendBytes(); peak <= 0 {
+		t.Fatalf("pending peak %dB: the publisher never held a pending delta", peak)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, ref := range pushed {
+		if ref == v2.Ref() {
+			t.Fatalf("v2 reached the receiver by push (pushed %v)", pushed)
+		}
+	}
+	if len(pushed) == 0 || pushed[len(pushed)-1] != v3.Ref() {
+		t.Fatalf("pushed %v, want v3 last", pushed)
+	}
 }

@@ -37,20 +37,22 @@ type Transport interface {
 	Close() error
 }
 
-// FrameSender is implemented by transports that accept pre-encoded binary
-// frames. A push fanout encodes its envelope once (wire.NewFrame) and hands
-// the same frame to every destination; the transport retains the frame for
-// as long as its queues need it. Transports without this fast path receive
-// the envelope through Send once per destination instead.
+// FrameSender is implemented by transports that accept one pre-encoded
+// binary frame (wire.NewFrame); the transport retains the frame for as long
+// as its queues need it. The replica itself does not use it: its per-peer
+// senders always drive FrameBatchSender, or fall back to Send one envelope
+// at a time. Wrapping transports forward it so callers that encode frames
+// themselves keep the fast path.
 type FrameSender interface {
 	SendFrame(to string, f *wire.Frame) error
 }
 
 // FrameBatchSender is implemented by transports that can deliver several
 // pre-encoded frames to one destination as a single write+flush. The
-// coalescing per-peer senders use it so that an entire merged delta — pushes,
-// a pull response, acks — costs one syscall on the wire. The frames are only
-// borrowed for the duration of the call.
+// replica's per-peer senders use it whenever the transport offers it, so an
+// entire merged delta — pushes, a pull response, acks — costs one syscall on
+// the wire; otherwise they fall back to Send. The frames are only borrowed
+// for the duration of the call.
 type FrameBatchSender interface {
 	SendFrames(to string, fs []*wire.Frame) error
 }

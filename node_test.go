@@ -167,12 +167,25 @@ func TestWatchPushAndPull(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The receiver sees both writes via push. The delete waits for the
+	// first push to land: issued back to back, the publisher's sender may
+	// legitimately displace the pending first version with the tombstone
+	// that dominates it, and the first version would then arrive by pull.
+	recvPush := func(i int) {
+		t.Helper()
+		ev := nextEvent(t, recvEvents)
+		if ev.Source != pushpull.SourcePush || ev.Kind != pushpull.EventApplied {
+			t.Fatalf("push event %d: %+v", i, ev)
+		}
+	}
 	if _, err := pub.Publish(ctx, "cfg/rate", []byte("9000")); err != nil {
 		t.Fatal(err)
 	}
+	recvPush(0)
 	if _, err := pub.Delete(ctx, "cfg/rate"); err != nil {
 		t.Fatal(err)
 	}
+	recvPush(1)
 
 	// The publisher's own watch sees both local applies.
 	for i, wantDel := range []bool{false, true} {
@@ -182,13 +195,6 @@ func TestWatchPushAndPull(t *testing.T) {
 		}
 		if ev.Tombstone() != wantDel {
 			t.Fatalf("local event %d: tombstone=%v want %v", i, ev.Tombstone(), wantDel)
-		}
-	}
-	// The receiver sees both via push.
-	for i := 0; i < 2; i++ {
-		ev := nextEvent(t, recvEvents)
-		if ev.Source != pushpull.SourcePush || ev.Kind != pushpull.EventApplied {
-			t.Fatalf("push event %d: %+v", i, ev)
 		}
 	}
 
