@@ -64,7 +64,7 @@ func benchRF(k int) []int {
 func BenchmarkHandlePushFirstReceipt(b *testing.B) {
 	for _, listLen := range []int{0, 64, 512} {
 		b.Run(fmt.Sprintf("carried=%d", listLen), func(b *testing.B) {
-			e, _ := newBenchEngine(b, 1024, Config[int]{
+			_, ep := newBenchEngine(b, 1024, Config[int]{
 				Fanout:      10,
 				PartialList: true,
 				ListMax:     64,
@@ -74,7 +74,7 @@ func BenchmarkHandlePushFirstReceipt(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Handle(1, Message[int]{
+				ep.deliver(1, Message[int]{
 					Kind: KindPush, Update: benchUpdate(i), RF: rf, T: 2,
 				})
 			}
@@ -83,19 +83,19 @@ func BenchmarkHandlePushFirstReceipt(b *testing.B) {
 }
 
 func BenchmarkHandlePushDuplicate(b *testing.B) {
-	e, _ := newBenchEngine(b, 1024, Config[int]{
+	_, ep := newBenchEngine(b, 1024, Config[int]{
 		Fanout:      10,
 		PartialList: true,
 		NewPF:       func() pf.Func { return pf.NewAdaptive(0.9) },
 	})
 	u := benchUpdate(0)
 	rf := benchRF(128)
-	e.Handle(1, Message[int]{Kind: KindPush, Update: u, RF: rf, T: 1})
+	ep.deliver(1, Message[int]{Kind: KindPush, Update: u, RF: rf, T: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Same update, same list: the pure duplicate/merge/observe path.
-		e.Handle(2, Message[int]{Kind: KindPush, Update: u, RF: rf, T: 2})
+		ep.deliver(2, Message[int]{Kind: KindPush, Update: u, RF: rf, T: 2})
 	}
 }
 
@@ -103,9 +103,9 @@ func BenchmarkPullReconciliation(b *testing.B) {
 	// A replica holding updateCount updates serves a pull request from a
 	// peer missing the newest `missing` of them.
 	const updateCount, missing = 512, 32
-	e, _ := newBenchEngine(b, 64, Config[int]{PullAttempts: 3})
+	e, ep := newBenchEngine(b, 64, Config[int]{PullAttempts: 3})
 	for i := 0; i < updateCount; i++ {
-		e.Handle(1, Message[int]{Kind: KindPush, Update: benchUpdate(i), T: 1})
+		ep.deliver(1, Message[int]{Kind: KindPush, Update: benchUpdate(i), T: 1})
 	}
 	remote := version.NewClock()
 	remote["writer"] = updateCount - missing

@@ -15,6 +15,11 @@
 // the adaptive PF schedule — lands on the simulated and the live path at
 // once, and simulator scenarios exercise exactly the code that ships.
 //
+// The engine reads the replica store but never writes it. Updates enter the
+// store through the writer (local publishes) and through the shared Ingest
+// step (inbound traffic), which both adapters run before the engine call;
+// the engine then does only the protocol bookkeeping.
+//
 // The engine is deliberately single-threaded: it never locks, never spawns
 // goroutines, and calls Endpoint.Send and hook callbacks synchronously.
 // Concurrency is the adapter's concern (the simulator is synchronous by
@@ -249,7 +254,6 @@ type Engine[ID comparable] struct {
 	ep   Endpoint[ID]
 	self ID
 	st   store.Backend
-	w    *store.Writer
 
 	view   *peerView[ID] // known replicas, never containing self
 	states map[store.Ref]*updateState[ID]
@@ -285,18 +289,18 @@ type Engine[ID comparable] struct {
 	queryCounter int64
 }
 
-// New constructs an engine over the given endpoint, store, and writer. The
-// adapter owns store and writer construction because identity, clocks, and
-// seeding are adapter concerns.
-func New[ID comparable](cfg Config[ID], ep Endpoint[ID], st store.Backend, w *store.Writer) (*Engine[ID], error) {
+// New constructs an engine over the given endpoint and store, which the
+// engine only reads. The adapter owns store construction and every write to
+// it.
+func New[ID comparable](cfg Config[ID], ep Endpoint[ID], st store.Backend) (*Engine[ID], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if ep == nil {
 		return nil, fmt.Errorf("engine: nil endpoint")
 	}
-	if st == nil || w == nil {
-		return nil, fmt.Errorf("engine: nil store or writer")
+	if st == nil {
+		return nil, fmt.Errorf("engine: nil store")
 	}
 	if cfg.TruncatePolicy == 0 {
 		cfg.TruncatePolicy = replicalist.DropRandom
@@ -309,7 +313,6 @@ func New[ID comparable](cfg Config[ID], ep Endpoint[ID], st store.Backend, w *st
 		ep:          ep,
 		self:        ep.Self(),
 		st:          st,
-		w:           w,
 		view:        newPeerView[ID](16),
 		states:      make(map[store.Ref]*updateState[ID]),
 		pullClocks:  make(map[ID]pullClock),
@@ -334,10 +337,10 @@ func (e *Engine[ID]) Self() ID { return e.self }
 // Restart resets the engine to what a freshly exec'd process attached to the
 // same (restored) store would hold: membership view, per-update flooding
 // lists and PF state, ack/suspect bookkeeping, and pending queries are all
-// wiped; the store and writer — the durable state — are kept. Every update
-// already in the store is re-registered so re-pushed copies count as
-// duplicates instead of initiating a second flood, and the bootstrap peers
-// are re-learned (the seed list a restarting replica reads from its config).
+// wiped; the store — the durable state — is kept. Every update already in
+// the store is re-registered so re-pushed copies count as duplicates
+// instead of initiating a second flood, and the bootstrap peers are
+// re-learned (the seed list a restarting replica reads from its config).
 //
 // Adapters restore the store from its snapshot *before* calling Restart, and
 // resync their writer afterwards, so the re-registration sees the recovered
@@ -506,49 +509,31 @@ func (e *Engine[ID]) Tick() {
 	}
 }
 
-// Handle dispatches one inbound protocol message.
+// Handle dispatches one inbound protocol message that carries no updates.
+// Update-carrying kinds pass the shared Ingest step first and enter through
+// HandlePushApplied, HandlePullRespApplied, or HandleSnapshotApplied; Handle
+// ignores them.
 func (e *Engine[ID]) Handle(from ID, m Message[ID]) {
 	switch m.Kind {
-	case KindPush:
-		e.handlePush(from, m)
 	case KindPullReq:
 		e.handlePullReq(from, m)
-	case KindPullResp:
-		e.handlePullResp(from, m)
 	case KindAck:
 		e.handleAck(from)
 	case KindQuery:
 		e.handleQuery(from, m)
 	case KindQueryResp:
 		e.handleQueryResp(m)
-	case KindSnapshot:
-		e.handleSnapshot(from, m)
 	}
 }
 
 // --- Push phase (§4.1–4.2) -------------------------------------------
 
-// Publish creates an update for key/value and initiates its push phase (the
-// paper's round 0).
-func (e *Engine[ID]) Publish(key string, value []byte) store.Update {
-	u, branches := e.w.PutObserved(key, value)
-	e.PublishApplied(u, branches)
-	return u
-}
-
-// PublishDelete creates a tombstone update and initiates its push phase.
-func (e *Engine[ID]) PublishDelete(key string) store.Update {
-	u, branches := e.w.DeleteObserved(key)
-	e.PublishApplied(u, branches)
-	return u
-}
-
-// PublishApplied initiates the push phase for an update the adapter already
-// created through the engine's shared Writer and applied to the store.
-// branches is the revision count from the apply. It is the parallel-ingest
-// half of Publish: the live runtime runs the writer outside its engine lock
-// (the Writer serialises itself, and the sharded store stripes the apply) and
-// enters the engine only for the protocol bookkeeping.
+// PublishApplied initiates the push phase (the paper's round 0) for an
+// update the adapter created through its store.Writer, which applied it.
+// branches is the revision count from the apply. The live runtime runs the
+// writer outside its engine lock (the Writer serialises itself, and the
+// sharded store stripes the apply) and enters the engine only for the
+// protocol bookkeeping.
 func (e *Engine[ID]) PublishApplied(u store.Update, branches int) {
 	e.fireApply(u, store.Applied, SourceLocal, branches)
 	e.initiate(u)
@@ -566,20 +551,8 @@ func (e *Engine[ID]) initiate(u store.Update) {
 	e.releaseScratch(targets)
 }
 
-// Applied carries the outcome of a store apply the adapter performed before
-// entering the engine — the parallel-ingest contract: connection readers
-// apply to the (sharded, lock-striped) store concurrently, then enter the
-// engine's small critical section with only the result.
-type Applied struct {
-	// Res classifies the store outcome.
-	Res store.ApplyResult
-	// Branches is the key's revision count, counted atomically with the
-	// apply.
-	Branches int
-}
-
-// HandlePushApplied is Handle for a KindPush message whose update the
-// adapter already applied to the store. The engine performs only protocol
+// HandlePushApplied handles a KindPush message whose update went through
+// Ingest.Push; pre is that outcome. The engine performs only protocol
 // bookkeeping: membership, duplicate tuning, ack, and the forwarding
 // decision.
 //
@@ -587,14 +560,6 @@ type Applied struct {
 // message is then treated as a duplicate exactly as if the store had been
 // consulted under the engine's serialisation.
 func (e *Engine[ID]) HandlePushApplied(from ID, m Message[ID], pre Applied) {
-	e.pushReceived(from, m, &pre)
-}
-
-func (e *Engine[ID]) handlePush(from ID, m Message[ID]) {
-	e.pushReceived(from, m, nil)
-}
-
-func (e *Engine[ID]) pushReceived(from ID, m Message[ID], pre *Applied) {
 	// Name-dropper: every push teaches us replicas we did not know.
 	e.learnAll(m.RF)
 	e.Learn(from)
@@ -617,13 +582,6 @@ func (e *Engine[ID]) pushReceived(from ID, m Message[ID], pre *Applied) {
 	}
 
 	// First receipt: process the update.
-	var applied store.ApplyResult
-	var branches int
-	if pre != nil {
-		applied, branches = pre.Res, pre.Branches
-	} else {
-		applied, branches = e.st.ApplyObserved(m.Update)
-	}
 	e.lastReceived = e.ep.Now()
 	e.notConfident = false
 	state := e.newState()
@@ -641,7 +599,7 @@ func (e *Engine[ID]) pushReceived(from ID, m Message[ID], pre *Applied) {
 		// counts it is available before the forwarding decision below.
 		ad.ObserveListFraction(e.listFraction(state))
 	}
-	e.fireApply(m.Update, applied, SourcePush, branches)
+	e.fireApply(m.Update, pre.Res, SourcePush, pre.Branches)
 
 	// Forward with probability PF(t+1). Per the paper, R_p is a *uniform*
 	// random subset of known replicas; the message goes to R_p \ R_f only,
@@ -884,69 +842,37 @@ func (e *Engine[ID]) StableFrontier() version.Clock {
 	return frontier
 }
 
-// handleSnapshot ingests a snapshot catch-up frame: apply every update it
-// carries (registering engine state so re-pushed copies count as
-// duplicates), then adopt the sender's compacted watermark so our clock
-// jumps the holes its compaction left. The updates count as pull traffic for
-// the hooks — a snapshot is anti-entropy in one frame.
-func (e *Engine[ID]) handleSnapshot(from ID, m Message[ID]) {
+// HandleSnapshotApplied handles a KindSnapshot message after Ingest.Snapshot
+// decoded and applied it: m.Updates are the updates the snapshot carried and
+// pre[i] is the outcome of m.Updates[i]. Every update is registered so
+// re-pushed copies count as duplicates, and counts as pull traffic for the
+// hooks — a snapshot is anti-entropy in one frame.
+func (e *Engine[ID]) HandleSnapshotApplied(from ID, m Message[ID], pre []Applied) {
 	e.Learn(from)
 	e.learnAll(m.Peers)
-	updates, wm, err := store.DecodeSnapshot(bytes.NewReader(m.Snapshot))
-	if err != nil {
-		return
-	}
-	for _, u := range updates {
-		applied, branches := e.st.ApplyObserved(u)
-		if _, ok := e.states[u.Ref()]; !ok {
-			e.states[u.Ref()] = e.newState()
-		}
-		e.fireApply(u, applied, SourcePull, branches)
-	}
-	e.st.AdoptFrontier(wm)
+	e.registerPulled(m.Updates, pre)
 	e.notConfident = false
 	e.lastReceived = e.ep.Now()
 }
 
-// HandleSnapshotApplied is Handle for a KindSnapshot message whose payload
-// the adapter already decoded, applied to the store, and adopted; refs
-// identifies every update the snapshot carried. See HandlePushApplied.
-func (e *Engine[ID]) HandleSnapshotApplied(from ID, m Message[ID], refs []store.Ref) {
-	e.Learn(from)
-	e.learnAll(m.Peers)
-	for _, ref := range refs {
-		if _, ok := e.states[ref]; !ok {
-			e.states[ref] = e.newState()
-		}
-	}
-	e.notConfident = false
-	e.lastReceived = e.ep.Now()
-}
-
-// HandlePullRespApplied is Handle for a KindPullResp message whose updates
-// the adapter already applied to the store, in order; pre[i] is the outcome
-// of m.Updates[i]. See HandlePushApplied.
+// HandlePullRespApplied handles a KindPullResp message whose updates went
+// through Ingest.Updates; pre[i] is the outcome of m.Updates[i].
 func (e *Engine[ID]) HandlePullRespApplied(from ID, m Message[ID], pre []Applied) {
-	e.pullRespReceived(from, m, pre)
-}
-
-func (e *Engine[ID]) handlePullResp(from ID, m Message[ID]) {
-	e.pullRespReceived(from, m, nil)
-}
-
-func (e *Engine[ID]) pullRespReceived(from ID, m Message[ID], pre []Applied) {
 	e.Learn(from)
 	e.learnAll(m.Peers)
-	gotNew := false
-	for i, u := range m.Updates {
-		var applied store.ApplyResult
-		var branches int
-		if pre != nil {
-			applied, branches = pre[i].Res, pre[i].Branches
-		} else {
-			applied, branches = e.st.ApplyObserved(u)
-		}
-		if applied == store.Applied {
+	if e.registerPulled(m.Updates, pre) || len(m.Updates) == 0 {
+		// Either fresh data, or confirmation that we were current.
+		e.notConfident = false
+		e.lastReceived = e.ep.Now()
+	}
+}
+
+// registerPulled files the per-update state of updates learned by pull or
+// snapshot and reports their apply outcomes to the hooks. It reports
+// whether any of them was new to the store.
+func (e *Engine[ID]) registerPulled(updates []store.Update, pre []Applied) (gotNew bool) {
+	for i, u := range updates {
+		if pre[i].Res == store.Applied {
 			gotNew = true
 		}
 		if _, ok := e.states[u.Ref()]; !ok {
@@ -954,13 +880,9 @@ func (e *Engine[ID]) pullRespReceived(from ID, m Message[ID], pre []Applied) {
 			// already saturated the online population (§4.3's optimism).
 			e.states[u.Ref()] = e.newState()
 		}
-		e.fireApply(u, applied, SourcePull, branches)
+		e.fireApply(u, pre[i].Res, SourcePull, pre[i].Branches)
 	}
-	if gotNew || len(m.Updates) == 0 {
-		// Either fresh data, or confirmation that we were current.
-		e.notConfident = false
-		e.lastReceived = e.ep.Now()
-	}
+	return gotNew
 }
 
 // --- Acknowledgements (§6) -------------------------------------------

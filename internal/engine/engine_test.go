@@ -22,12 +22,16 @@ type sentMsg struct {
 // testNet wires engines together with synchronous delivery, standing in for
 // an adapter's transport.
 type testNet struct {
-	engines map[int]*Engine[int]
+	nodes map[int]*testEndpoint
 }
+
+func newTestNet() *testNet { return &testNet{nodes: make(map[int]*testEndpoint)} }
 
 // testEndpoint is a controllable Endpoint: time is a settable tick counter,
 // sends are recorded and (when a net is attached) delivered synchronously,
-// pull-response intents rendered on the way.
+// pull-response intents rendered on the way. It also plays the driver for
+// its engine: local writes go through the writer and inbound messages
+// through the shared ingest step, exactly as both adapters do.
 type testEndpoint struct {
 	id      int
 	now     int64
@@ -35,6 +39,8 @@ type testEndpoint struct {
 	net     *testNet
 	sent    []sentMsg
 	discard bool
+	e       *Engine[int]
+	in      Ingest
 }
 
 func (ep *testEndpoint) Self() int        { return ep.id }
@@ -45,18 +51,54 @@ func (ep *testEndpoint) Send(to int, m Message[int]) {
 		ep.sent = append(ep.sent, sentMsg{to: to, msg: m})
 	}
 	if ep.net != nil {
-		if target, ok := ep.net.engines[to]; ok {
+		if target, ok := ep.net.nodes[to]; ok {
 			if m.Kind == KindPullResp {
 				// Render the pull-response intent at delivery, as an
 				// adapter's sender does at transmission.
 				var ok bool
-				if m, ok = ep.net.engines[ep.id].RenderPullResp(m); !ok {
+				if m, ok = ep.e.RenderPullResp(m); !ok {
 					return
 				}
 			}
-			target.Handle(ep.id, m)
+			target.deliver(ep.id, m)
 		}
 	}
+}
+
+// deliver hands one inbound message to the engine: update-carrying kinds
+// run the shared ingest step first, and an undecodable snapshot is dropped
+// before the engine sees it.
+func (ep *testEndpoint) deliver(from int, m Message[int]) {
+	switch m.Kind {
+	case KindPush:
+		ep.e.HandlePushApplied(from, m, ep.in.Push(m.Update))
+	case KindPullResp:
+		ep.e.HandlePullRespApplied(from, m, ep.in.Updates(m.Updates))
+	case KindSnapshot:
+		updates, pre, _, err := ep.in.Snapshot(m.Snapshot)
+		if err != nil {
+			return
+		}
+		m.Updates = updates
+		ep.e.HandleSnapshotApplied(from, m, pre)
+	default:
+		ep.e.Handle(from, m)
+	}
+}
+
+// publish writes key through the endpoint's writer and starts its push
+// phase.
+func (ep *testEndpoint) publish(key string, value []byte) store.Update {
+	u, branches := ep.in.Writer.PutObserved(key, value)
+	ep.e.PublishApplied(u, branches)
+	return u
+}
+
+// publishDelete is publish for a tombstone.
+func (ep *testEndpoint) publishDelete(key string) store.Update {
+	u, branches := ep.in.Writer.DeleteObserved(key)
+	ep.e.PublishApplied(u, branches)
+	return u
 }
 
 // newTestEngine builds an engine with a deterministic writer clock and RNG.
@@ -70,12 +112,13 @@ func newTestEngine(t testing.TB, id int, cfg Config[int], net *testNet) (*Engine
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
-	e, err := New(cfg, ep, st, w)
+	e, err := New(cfg, ep, st)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	ep.e, ep.in = e, Ingest{Store: st, Writer: w}
 	if net != nil {
-		net.engines[id] = e
+		net.nodes[id] = ep
 	}
 	return e, ep
 }
@@ -107,21 +150,14 @@ func TestConfigValidate(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	st := store.New()
-	w, err := store.NewWriter("x", st, nil, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New[int](Config[int]{Fanout: -1}, &testEndpoint{}, st, w); err == nil {
+	if _, err := New[int](Config[int]{Fanout: -1}, &testEndpoint{}, st); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	if _, err := New[int](Config[int]{}, nil, st, w); err == nil {
+	if _, err := New[int](Config[int]{}, nil, st); err == nil {
 		t.Fatal("nil endpoint accepted")
 	}
-	if _, err := New[int](Config[int]{}, &testEndpoint{}, nil, w); err == nil {
+	if _, err := New[int](Config[int]{}, &testEndpoint{}, nil); err == nil {
 		t.Fatal("nil store accepted")
-	}
-	if _, err := New[int](Config[int]{}, &testEndpoint{}, st, nil); err == nil {
-		t.Fatal("nil writer accepted")
 	}
 }
 
@@ -157,7 +193,7 @@ func TestListFractionFeedsAdaptivePF(t *testing.T) {
 			return a
 		},
 	}
-	e, _ := newTestEngine(t, 5, cfg, nil)
+	e, ep := newTestEngine(t, 5, cfg, nil)
 	for i := 0; i < 10; i++ {
 		e.Learn(i)
 	}
@@ -165,7 +201,7 @@ func TestListFractionFeedsAdaptivePF(t *testing.T) {
 	u := testUpdate(t, "peer-0", 1, "k", "v")
 	// First receipt carrying a 4-entry list: R_f = {1,2,3,4} ∪ {5}, so
 	// L = 5/10 and PF = Base·(1−L) = 0.5.
-	e.Handle(1, Message[int]{Kind: KindPush, Update: u, RF: []int{1, 2, 3, 4}, T: 1})
+	ep.deliver(1, Message[int]{Kind: KindPush, Update: u, RF: []int{1, 2, 3, 4}, T: 1})
 	if len(captured) != 1 {
 		t.Fatalf("adaptive instances = %d, want 1", len(captured))
 	}
@@ -175,7 +211,7 @@ func TestListFractionFeedsAdaptivePF(t *testing.T) {
 
 	// A duplicate merging three more ids: L = 8/10, one duplicate, so
 	// PF = 0.7¹·(1−0.8) = 0.14.
-	e.Handle(2, Message[int]{Kind: KindPush, Update: u, RF: []int{6, 7, 8}, T: 2})
+	ep.deliver(2, Message[int]{Kind: KindPush, Update: u, RF: []int{6, 7, 8}, T: 2})
 	if got := e.Duplicates(u.ID()); got != 1 {
 		t.Fatalf("duplicates = %d, want 1", got)
 	}
@@ -192,12 +228,12 @@ func TestValidIDFiltersLearnedIdentities(t *testing.T) {
 		Fanout:  2,
 		ValidID: func(id int) bool { return id >= 0 },
 	}
-	e, _ := newTestEngine(t, 0, cfg, nil)
+	e, ep := newTestEngine(t, 0, cfg, nil)
 	if e.Learn(-1) {
 		t.Fatal("rejected identity learned directly")
 	}
 	u := testUpdate(t, "peer-9", 1, "k", "v")
-	e.Handle(-1, Message[int]{Kind: KindPush, Update: u, RF: []int{-2, 3}, T: 0})
+	ep.deliver(-1, Message[int]{Kind: KindPush, Update: u, RF: []int{-2, 3}, T: 0})
 	if !e.HasUpdate(u.ID()) {
 		t.Fatal("push from rejected identity dropped entirely")
 	}
@@ -213,7 +249,7 @@ func TestPushForwardsToSampledPeersOutsideList(t *testing.T) {
 		e.Learn(i)
 	}
 	u := testUpdate(t, "peer-1", 1, "k", "v")
-	e.Handle(1, Message[int]{Kind: KindPush, Update: u, RF: []int{1, 2, 3}, T: 0})
+	ep.deliver(1, Message[int]{Kind: KindPush, Update: u, RF: []int{1, 2, 3}, T: 0})
 
 	if !e.HasUpdate(u.ID()) {
 		t.Fatal("first receipt not recorded")
@@ -268,7 +304,7 @@ func TestAckLifecycle(t *testing.T) {
 	e.Learn(1)
 	e.Learn(2)
 
-	e.Publish("k", []byte("v"))
+	ep.publish("k", []byte("v"))
 	if got := len(e.AwaitingAck()); got != 2 {
 		t.Fatalf("awaiting acks = %d, want 2", got)
 	}
@@ -374,14 +410,14 @@ func TestCarriedDisabledAndUnlimited(t *testing.T) {
 }
 
 func TestPullReconciliation(t *testing.T) {
-	net := &testNet{engines: make(map[int]*Engine[int])}
+	net := newTestNet()
 	cfg := Config[int]{Fanout: 0, PullAttempts: 1}
-	a, _ := newTestEngine(t, 0, cfg, net)
+	a, epA := newTestEngine(t, 0, cfg, net)
 	b, _ := newTestEngine(t, 1, cfg, net)
 
-	a.Publish("x", []byte("1"))
-	a.Publish("y", []byte("2"))
-	a.PublishDelete("x")
+	epA.publish("x", []byte("1"))
+	epA.publish("y", []byte("2"))
+	epA.publishDelete("x")
 
 	b.Learn(0)
 	b.PullNow()
@@ -404,14 +440,14 @@ func TestPullReconciliation(t *testing.T) {
 }
 
 func TestPullReqFromStalePeerTriggersCounterPull(t *testing.T) {
-	net := &testNet{engines: make(map[int]*Engine[int])}
+	net := newTestNet()
 	cfg := Config[int]{Fanout: 0, PullAttempts: 1, PullTimeout: 5}
 	a, epA := newTestEngine(t, 0, cfg, net)
-	b, _ := newTestEngine(t, 1, cfg, net)
+	b, epB := newTestEngine(t, 1, cfg, net)
 	a.Learn(1)
 	b.Learn(0)
 
-	b.Publish("k", []byte("fresh"))
+	epB.publish("k", []byte("fresh"))
 	// a has been silent past its pull timeout; a pull request arriving now
 	// must make it synchronise itself (§3: received_pull ∧ ¬confident).
 	epA.now = 10
@@ -422,13 +458,13 @@ func TestPullReqFromStalePeerTriggersCounterPull(t *testing.T) {
 }
 
 func TestLazyPullSyncsOnQuery(t *testing.T) {
-	net := &testNet{engines: make(map[int]*Engine[int])}
+	net := newTestNet()
 	cfg := Config[int]{Fanout: 0, PullAttempts: 1, LazyPull: true}
 	a, _ := newTestEngine(t, 0, cfg, net)
-	b, _ := newTestEngine(t, 1, cfg, net)
+	b, epB := newTestEngine(t, 1, cfg, net)
 	a.Learn(1)
 	b.Learn(0)
-	b.Publish("k", []byte("v"))
+	epB.publish("k", []byte("v"))
 
 	a.CameOnline()
 	if !a.NotConfident() {
@@ -449,8 +485,8 @@ func TestLazyPullSyncsOnQuery(t *testing.T) {
 
 func TestQueryLocalVoice(t *testing.T) {
 	cfg := Config[int]{Fanout: 0, QueryLocalVoice: true}
-	e, _ := newTestEngine(t, 0, cfg, nil)
-	e.Publish("k", []byte("here"))
+	e, ep := newTestEngine(t, 0, cfg, nil)
+	ep.publish("k", []byte("here"))
 	notified := 0
 	qid := e.QueryNotify("k", 3, func() { notified++ })
 	res, ok := e.QueryResult(qid)

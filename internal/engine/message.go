@@ -54,10 +54,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Message is the engine's transport-independent protocol message. Adapters
-// convert it to and from their wire representation (typed simulator payloads
-// with byte accounting, binary envelopes on TCP). Only the fields relevant to
-// the Kind are set.
+// Message is the engine's transport-independent protocol message. The
+// simulator carries it as its simnet payload (with byte accounting); the live
+// runtime converts it to and from binary envelopes on the wire. Only the
+// fields relevant to the Kind are set.
 type Message[ID comparable] struct {
 	// Kind selects which fields are meaningful.
 	Kind Kind
@@ -101,6 +101,9 @@ type Message[ID comparable] struct {
 	// pull).
 	Confident bool
 }
+
+// String names the message by its kind, for traces and logs.
+func (m Message[ID]) String() string { return m.Kind.String() }
 
 // Source identifies how an update reached a replica.
 type Source int

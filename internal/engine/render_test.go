@@ -14,9 +14,9 @@ import (
 
 func TestRenderPushLateBoundList(t *testing.T) {
 	cfg := Config[int]{Fanout: 1, PartialList: true}
-	e, _ := newTestEngine(t, 1, cfg, nil)
+	e, ep := newTestEngine(t, 1, cfg, nil)
 	e.Learn(2)
-	u := e.Publish("k", []byte("v"))
+	u := ep.publish("k", []byte("v"))
 
 	rf, ok := e.RenderPush(u.Ref())
 	if !ok {
@@ -27,7 +27,7 @@ func TestRenderPushLateBoundList(t *testing.T) {
 	// A duplicate heard from peer 3 carrying peers 4 and 5 merges into the
 	// update's flooding list; a later render must ship the grown list, not
 	// the one frozen at publish time.
-	e.Handle(3, Message[int]{Kind: KindPush, Update: u, RF: []int{4, 5}})
+	ep.deliver(3, Message[int]{Kind: KindPush, Update: u, RF: []int{4, 5}})
 	rf, ok = e.RenderPush(u.Ref())
 	if !ok {
 		t.Fatal("RenderPush lost the update after a duplicate")
@@ -53,9 +53,9 @@ func TestRenderPushLateBoundList(t *testing.T) {
 
 func TestRenderPullRespSnapshotDecision(t *testing.T) {
 	cfg := Config[int]{Fanout: 0, PullAttempts: 1, SnapshotCatchUp: 2}
-	e, _ := newTestEngine(t, 1, cfg, nil)
+	e, ep := newTestEngine(t, 1, cfg, nil)
 	for _, kv := range []string{"a", "b", "c", "d", "e"} {
-		e.Publish(kv, []byte(kv))
+		ep.publish(kv, []byte(kv))
 	}
 
 	render := func(clock version.Clock) Message[int] {
@@ -101,9 +101,9 @@ func TestRenderPullRespSnapshotDecision(t *testing.T) {
 // later must produce exactly the store's delta for the requester's clock.
 func TestPullRespIntentRendersStoreDelta(t *testing.T) {
 	e, ep := newTestEngine(t, 1, Config[int]{Fanout: 0, PullAttempts: 1}, nil)
-	e.Publish("x", []byte("1"))
-	e.Publish("y", []byte("2"))
-	e.PublishDelete("x")
+	ep.publish("x", []byte("1"))
+	ep.publish("y", []byte("2"))
+	ep.publishDelete("x")
 	reqClock := version.Clock{"peer-1": 1}
 
 	want, complete := e.Store().DeltaFor(reqClock)

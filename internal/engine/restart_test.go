@@ -15,7 +15,7 @@ func TestRestartWipesVolatileState(t *testing.T) {
 	for id := 1; id <= 5; id++ {
 		e.Learn(id)
 	}
-	u := e.Publish("k", []byte("v"))
+	u := ep.publish("k", []byte("v"))
 	e.Handle(2, Message[int]{Kind: KindAck, UpdateRef: u.Ref()})
 	ep.now = 100
 	e.Sweep() // unacked pushes become suspects
@@ -44,7 +44,7 @@ func TestRestartReRegistersStoredUpdates(t *testing.T) {
 	for id := 1; id <= 5; id++ {
 		e.Learn(id)
 	}
-	u := e.Publish("k", []byte("v"))
+	u := ep.publish("k", []byte("v"))
 
 	e.Restart([]int{1, 2, 3})
 
@@ -58,7 +58,7 @@ func TestRestartReRegistersStoredUpdates(t *testing.T) {
 			applies++
 		}
 	})
-	e.Handle(4, Message[int]{Kind: KindPush, Update: u, T: 1})
+	ep.deliver(4, Message[int]{Kind: KindPush, Update: u, T: 1})
 	if applies != 0 {
 		t.Fatalf("re-pushed update applied %d times after restart", applies)
 	}
@@ -74,16 +74,16 @@ func TestRestartReRegistersStoredUpdates(t *testing.T) {
 // snapshot → wipe → restore → writer resync → Restart. New updates must not
 // reuse sequence numbers.
 func TestRestartKeepsWriterSequence(t *testing.T) {
-	e, _ := newTestEngine(t, 0, Config[int]{Fanout: 1}, nil)
+	e, ep := newTestEngine(t, 0, Config[int]{Fanout: 1}, nil)
 	e.Learn(1)
-	e.Publish("a", []byte("1"))
-	u2 := e.Publish("b", []byte("2"))
+	ep.publish("a", []byte("1"))
+	u2 := ep.publish("b", []byte("2"))
 	if u2.Seq != 2 {
 		t.Fatalf("pre-crash seq = %d", u2.Seq)
 	}
 
 	e.Restart([]int{1})
-	u3 := e.Publish("c", []byte("3"))
+	u3 := ep.publish("c", []byte("3"))
 	if u3.Seq != 3 {
 		t.Fatalf("post-restart seq = %d, want 3 (no reuse)", u3.Seq)
 	}

@@ -153,7 +153,7 @@ func TestAckBookkeepingStableOrder(t *testing.T) {
 	}
 
 	u := testUpdate(t, "peer-1", 1, "k", "v")
-	e.Handle(1, Message[int]{Kind: KindPush, Update: u, T: 0})
+	ep.deliver(1, Message[int]{Kind: KindPush, Update: u, T: 0})
 	await := e.AwaitingAck()
 	if len(await) == 0 {
 		t.Fatal("no ack expectations after forwarding")

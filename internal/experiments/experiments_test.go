@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/p2pgossip/update/internal/pf"
+	"github.com/p2pgossip/update/internal/trace"
 )
 
 func lastY(c Curve) float64 {
@@ -204,6 +205,29 @@ func TestSimulateValidation(t *testing.T) {
 	}
 	if _, err := SimulatePush(SimParams{R: 10, ROn0: 20}); err == nil {
 		t.Fatal("ROn0 > R accepted")
+	}
+}
+
+// TestSimulatePushTraceNamesKinds checks that a traced run's send notes
+// name the protocol message kind and its size, not the Go payload type
+// every kind shares.
+func TestSimulatePushTraceNamesKinds(t *testing.T) {
+	res, err := SimulatePush(SimParams{R: 40, ROn0: 40, Fr: 0.1, Seed: 3, TraceEvents: 10000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sends := 0
+	for _, ev := range res.Trace.Events() {
+		if ev.Kind != trace.KindSend {
+			continue
+		}
+		sends++
+		if !strings.HasPrefix(ev.Note, "push ") || !strings.HasSuffix(ev.Note, "B") {
+			t.Fatalf("send note %q, want \"push <size>B\"", ev.Note)
+		}
+	}
+	if sends == 0 {
+		t.Fatal("traced push run recorded no sends")
 	}
 }
 

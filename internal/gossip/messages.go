@@ -1,15 +1,16 @@
 package gossip
 
 import (
+	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/store"
-	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wire"
 )
 
-// Byte accounting. Every message type's SizeBytes returns the number of
-// payload bytes the live runtime's binary codec (internal/wire) would
-// produce for the equivalent envelope — computed with the store codec's
-// exported size functions (internal/store/codec.go), so simulated traffic totals cannot drift from
+// Byte accounting. The simulator carries engine.Message values as simnet
+// payloads and charges each one the number of bytes the live runtime's
+// binary codec (internal/wire) would produce for the equivalent envelope —
+// computed with the store codec's exported size functions
+// (internal/store/codec.go), so simulated traffic totals cannot drift from
 // the real wire format. Peer indices stand in for the canonical simulator
 // address "peer-<index>" (the same identity the store writers use), and the
 // per-frame fixed costs (length prefix, format version, kind, sender
@@ -47,86 +48,40 @@ func frameBytes(from int) int {
 // of the §4.2 message-size model S_M(t) = U + γ·R·L(t). The flooding-list
 // term is charged separately (γ per carried entry).
 func PushBaseBytes(u store.Update, from int) int {
-	msg := PushMsg{Update: u, T: 3} // a typical 1-byte round counter
-	return frameBytes(from) + msg.SizeBytes()
+	// T = 3: a typical 1-byte round counter.
+	return frameBytes(from) + payloadBytes(engine.Message[int]{Kind: engine.KindPush, Update: u, T: 3})
 }
 
-// PushMsg is the paper's Push(U, V, R_f, t): one update, the partial
-// flooding list of peers the update has already been sent to, and the push
-// round counter.
-type PushMsg struct {
-	// Update carries the data item and its version (the paper's U and V).
-	Update store.Update
-	// RF is the partial flooding list (peer indices). Nil when the partial
-	// list optimisation is disabled.
-	RF []int
-	// T is the push round counter; the initiator sends with T = 0.
-	T int
-}
-
-// SizeBytes is the payload's binary-encoded size: the update record, the
-// flooding list, and the round counter.
-func (m PushMsg) SizeBytes() int {
-	return store.UpdateSize(m.Update) + peerListSize(m.RF) +
-		store.UvarintSize(uint64(m.T))
-}
-
-// PullReq asks a peer for updates the sender is missing, summarised by the
-// sender's vector clock ("inquire for missed updates based on version
-// vectors", §3).
-type PullReq struct {
-	// Clock is the requester's vector clock.
-	Clock version.Clock
-}
-
-// SizeBytes is the clock's binary-encoded size. Clock origins are the
-// writers' "peer-<id>" strings, so no index translation is needed.
-func (m PullReq) SizeBytes() int { return store.ClockSize(m.Clock) }
-
-// PullResp ships the updates the requester was missing, plus a membership
-// sample (the name-dropper effect applied to the pull phase).
-type PullResp struct {
-	// Updates are the missing updates in (origin, seq) order.
-	Updates []store.Update
-	// Peers is a sample of the responder's membership view.
-	Peers []int
-}
-
-// SizeBytes sums the encoded update records and the peer sample.
-func (m PullResp) SizeBytes() int {
-	n := store.UvarintSize(uint64(len(m.Updates)))
-	for _, u := range m.Updates {
-		n += store.UpdateSize(u)
+// payloadBytes is the binary-encoded size of a message's payload — the
+// fields the live codec writes for its kind. Peer indices in flooding lists
+// and membership samples are charged as their "peer-<index>" addresses;
+// clock origins and update references already are those strings.
+func payloadBytes(m engine.Message[int]) int {
+	switch m.Kind {
+	case engine.KindPush:
+		// The update record, the flooding list, and the round counter.
+		return store.UpdateSize(m.Update) + peerListSize(m.RF) +
+			store.UvarintSize(uint64(m.T))
+	case engine.KindPullReq:
+		return store.ClockSize(m.Clock)
+	case engine.KindPullResp:
+		n := store.UvarintSize(uint64(len(m.Updates)))
+		for _, u := range m.Updates {
+			n += store.UpdateSize(u)
+		}
+		return n + peerListSize(m.Peers)
+	case engine.KindSnapshot:
+		return store.BlobSize(m.Snapshot) + peerListSize(m.Peers)
+	case engine.KindAck:
+		return store.StringSize(m.UpdateRef.Origin) + store.UvarintSize(m.UpdateRef.Seq)
+	case engine.KindQuery:
+		// The query id plus the key.
+		return 8 + store.StringSize(m.Key)
+	case engine.KindQueryResp:
+		// Query id, key, flags, value, and version history.
+		return 8 + store.StringSize(m.Key) + 1 + store.BlobSize(m.Value) +
+			store.HistorySize(len(m.Version))
+	default:
+		return 0
 	}
-	return n + peerListSize(m.Peers)
-}
-
-// SnapshotMsg answers a pull request whose gap is compacted away (or exceeds
-// the snapshot threshold) with the responder's entire resident state in one
-// frame, plus the membership sample piggybacked on every pull answer.
-type SnapshotMsg struct {
-	// Data is the serialised resident state (the shared store snapshot
-	// encoding: resident log plus compacted watermark).
-	Data []byte
-	// Peers is a sample of the responder's membership view.
-	Peers []int
-}
-
-// SizeBytes sums the encoded snapshot blob and the peer sample.
-func (m SnapshotMsg) SizeBytes() int {
-	return store.BlobSize(m.Data) + peerListSize(m.Peers)
-}
-
-// AckMsg acknowledges the receipt of an update (§6): the sender gains
-// preference as a future push target. It carries the comparable (origin,
-// seq) reference — like the live wire format, no "origin/seq" string is
-// formatted or parsed on the ack path.
-type AckMsg struct {
-	// Ref identifies the acknowledged update.
-	Ref store.Ref
-}
-
-// SizeBytes is the reference's binary-encoded size.
-func (m AckMsg) SizeBytes() int {
-	return store.StringSize(m.Ref.Origin) + store.UvarintSize(m.Ref.Seq)
 }

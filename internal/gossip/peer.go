@@ -23,16 +23,18 @@ const (
 )
 
 // Peer is one replica running the hybrid push/pull protocol in the
-// round-based simulator. It is a thin adapter: the §4/§6 state machine
-// lives in internal/engine, shared verbatim with the live runtime; this
-// type only translates between simnet's message/round model (int peer
-// indices, typed payloads with byte accounting) and the engine.
+// round-based simulator. It is a thin adapter: the §4/§6 state machine and
+// the inbound store-write step live in internal/engine, shared verbatim with
+// the live runtime; this type only connects them to simnet's message/round
+// model (int peer indices, engine messages as payloads with byte
+// accounting).
 type Peer struct {
 	id  int
 	cfg Config
 	eng *engine.Engine[int]
 	st  store.Backend
-	w   *store.Writer
+	// in is the shared ingest step over st and the peer's writer.
+	in engine.Ingest
 
 	// env is the simulation environment of the callback currently running;
 	// the engine reaches time, randomness, and delivery through it.
@@ -169,46 +171,27 @@ func (p *Peer) emit(to int, m engine.Message[int]) {
 			return
 		}
 	}
-	env := p.env
-	reg := env.Metrics()
-	frame := frameBytes(p.id)
+	size := frameBytes(p.id) + payloadBytes(m)
+	p.env.Send(to, m, size)
+	reg := p.env.Metrics()
 	switch m.Kind {
 	case engine.KindPush:
-		msg := PushMsg{Update: m.Update, RF: m.RF, T: m.T}
-		bytes := frame + msg.SizeBytes()
-		env.Send(to, msg, bytes)
 		reg.Inc(MetricPushes)
-		reg.Add(MetricPushBytes, float64(bytes))
+		reg.Add(MetricPushBytes, float64(size))
 	case engine.KindPullReq:
-		msg := PullReq{Clock: m.Clock}
-		env.Send(to, msg, frame+msg.SizeBytes())
 		reg.Inc(MetricPullRequests)
 	case engine.KindPullResp:
-		msg := PullResp{Updates: m.Updates, Peers: m.Peers}
-		env.Send(to, msg, frame+msg.SizeBytes())
 		reg.Inc(MetricPullResponses)
 		reg.Add(MetricPullUpdates, float64(len(m.Updates)))
 	case engine.KindAck:
-		msg := AckMsg{Ref: m.UpdateRef}
-		env.Send(to, msg, frame+msg.SizeBytes())
 		reg.Inc(MetricAcks)
 	case engine.KindQuery:
-		msg := QueryMsg{QID: m.QID, Key: m.Key}
-		env.Send(to, msg, frame+msg.SizeBytes())
 		reg.Inc(MetricQueries)
 	case engine.KindQueryResp:
-		msg := QueryResp{
-			QID: m.QID, Key: m.Key, Found: m.Found,
-			Value: m.Value, Version: m.Version, Confident: m.Confident,
-		}
-		env.Send(to, msg, frame+msg.SizeBytes())
 		reg.Inc(MetricQueryResponses)
 	case engine.KindSnapshot:
-		msg := SnapshotMsg{Data: m.Snapshot, Peers: m.Peers}
-		bytes := frame + msg.SizeBytes()
-		env.Send(to, msg, bytes)
 		reg.Inc(MetricSnapshots)
-		reg.Add(MetricSnapshotBytes, float64(bytes))
+		reg.Add(MetricSnapshotBytes, float64(size))
 	}
 }
 
@@ -267,12 +250,12 @@ func NewPeer(id int, cfg Config) (*Peer, error) {
 				p.env.Metrics().Inc(MetricDuplicates)
 			},
 		},
-	}, simEndpoint{p}, st, w)
+	}, simEndpoint{p}, st)
 	if err != nil {
 		return nil, err
 	}
 	p.eng = eng
-	p.w = w
+	p.in = engine.Ingest{Store: st, Writer: w}
 	return p, nil
 }
 
@@ -319,7 +302,7 @@ func (p *Peer) Restart(env *simnet.Env) {
 		// fresh replica and recovers everything by pulling.
 		_ = p.st.RestoreSnapshot(bytes.NewReader(p.snapshot))
 	}
-	p.w.Resync()
+	p.in.Writer.Resync()
 	p.eng.Restart(p.bootstrap)
 }
 
@@ -414,44 +397,27 @@ func (p *Peer) runJanitor() {
 	}
 }
 
-// HandleMessage implements simnet.Node.
+// HandleMessage implements simnet.Node. Update-carrying messages pass the
+// shared ingest step before the engine sees them; a snapshot that does not
+// decode is dropped there.
 func (p *Peer) HandleMessage(env *simnet.Env, msg simnet.Message) {
 	p.bind(env)
-	switch m := msg.Payload.(type) {
-	case PushMsg:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindPush, Update: m.Update, RF: m.RF, T: m.T,
-		})
-	case PullReq:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindPullReq, Clock: m.Clock,
-		})
-	case PullResp:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindPullResp, Updates: m.Updates, Peers: m.Peers,
-		})
-	case AckMsg:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindAck, UpdateRef: m.Ref,
-		})
-	case QueryMsg:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindQuery, QID: m.QID, Key: m.Key,
-		})
-	case QueryResp:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindQueryResp, QID: m.QID, Key: m.Key,
-			Found: m.Found, Value: m.Value, Version: m.Version,
-			Confident: m.Confident,
-		})
-	case SnapshotMsg:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindSnapshot, Snapshot: m.Data, Peers: m.Peers,
-		})
-		// The snapshot may carry this peer's own origin past the writer's
-		// counter (rejoin after disk loss); never reuse sequence numbers.
-		p.w.Resync()
+	m, _ := msg.Payload.(engine.Message[int])
+	switch m.Kind {
+	case engine.KindPush:
+		p.eng.HandlePushApplied(msg.From, m, p.in.Push(m.Update))
+	case engine.KindPullResp:
+		p.eng.HandlePullRespApplied(msg.From, m, p.in.Updates(m.Updates))
+	case engine.KindSnapshot:
+		updates, pre, _, err := p.in.Snapshot(m.Snapshot)
+		if err != nil {
+			return
+		}
+		m.Updates = updates
+		p.eng.HandleSnapshotApplied(msg.From, m, pre)
 		env.Metrics().Inc(MetricSnapshotCatchups)
+	default:
+		p.eng.Handle(msg.From, m)
 	}
 }
 
@@ -459,13 +425,17 @@ func (p *Peer) HandleMessage(env *simnet.Env, msg simnet.Message) {
 // push phase (the paper's round 0).
 func (p *Peer) Publish(env *simnet.Env, key string, value []byte) store.Update {
 	p.bind(env)
-	return p.eng.Publish(key, value)
+	u, branches := p.in.Writer.PutObserved(key, value)
+	p.eng.PublishApplied(u, branches)
+	return u
 }
 
 // PublishDelete creates a tombstone update and initiates its push phase.
 func (p *Peer) PublishDelete(env *simnet.Env, key string) store.Update {
 	p.bind(env)
-	return p.eng.PublishDelete(key)
+	u, branches := p.in.Writer.DeleteObserved(key)
+	p.eng.PublishApplied(u, branches)
+	return u
 }
 
 // pullGossipSample is the number of peer ids piggybacked on pull responses.

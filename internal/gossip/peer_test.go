@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"github.com/p2pgossip/update/internal/churn"
+	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/pf"
 	"github.com/p2pgossip/update/internal/replicalist"
 	"github.com/p2pgossip/update/internal/simnet"
+	"github.com/p2pgossip/update/internal/version"
 )
 
 // buildEngine wires a network and engine with the given parameters.
@@ -184,7 +186,7 @@ func TestLazyPullWaitsThenSyncsOnDemand(t *testing.T) {
 	// A pull request arriving at the lazy (not confident) peer forces it to
 	// sync itself (§3: received_pull and not_confident).
 	net.Peers[16].CameOnline(envOf(t, en, 16)) // also lazy: no traffic
-	req := PullReq{Clock: net.Peers[16].Store().Clock()}
+	req := engine.Message[int]{Kind: engine.KindPullReq, Clock: net.Peers[16].Store().Clock()}
 	net.Peers[15].HandleMessage(envOf(t, en, 15),
 		simnet.Message{From: 16, To: 15, Payload: req})
 	en.Run(6)
@@ -220,10 +222,10 @@ func TestDuplicateCountingAndListMerge(t *testing.T) {
 	// different lists.
 	env5 := envOf(t, en, 5)
 	net.Peers[5].HandleMessage(env5, simnet.Message{
-		From: 1, To: 5, Payload: PushMsg{Update: u, RF: []int{1, 2}, T: 1},
+		From: 1, To: 5, Payload: engine.Message[int]{Kind: engine.KindPush, Update: u, RF: []int{1, 2}, T: 1},
 	})
 	net.Peers[5].HandleMessage(env5, simnet.Message{
-		From: 2, To: 5, Payload: PushMsg{Update: u, RF: []int{3, 4}, T: 1},
+		From: 2, To: 5, Payload: engine.Message[int]{Kind: engine.KindPush, Update: u, RF: []int{3, 4}, T: 1},
 	})
 	if got := net.Peers[5].Duplicates(id); got != 1 {
 		t.Fatalf("duplicates = %d, want 1", got)
@@ -376,7 +378,7 @@ func TestSimPathFeedsListFractionIntoAdaptivePF(t *testing.T) {
 	// Deliver a push carrying a 4-entry list to peer 5: R_f = {1,2,3,4,5},
 	// L = 5/10, so the adaptive schedule must report PF = 1·(1−0.5) = 0.5.
 	net.Peers[5].HandleMessage(envOf(t, en, 5), simnet.Message{
-		From: 1, To: 5, Payload: PushMsg{Update: u, RF: []int{1, 2, 3, 4}, T: 1},
+		From: 1, To: 5, Payload: engine.Message[int]{Kind: engine.KindPush, Update: u, RF: []int{1, 2, 3, 4}, T: 1},
 	})
 	ad := captured[len(captured)-1]
 	if got := ad.P(2); math.Abs(got-0.5) > 1e-9 {
@@ -421,5 +423,38 @@ func TestConvergedHelper(t *testing.T) {
 	empty := &Network{}
 	if !empty.Converged() {
 		t.Fatal("empty network should be converged")
+	}
+}
+
+// TestGarbageSnapshotDropped pins the one rule for snapshot frames that do
+// not decode, shared with the live runtime: the ingest step drops them
+// before the engine sees them, so neither the store, the clock, the
+// membership view, nor the catch-up counter moves.
+func TestGarbageSnapshotDropped(t *testing.T) {
+	cfg := DefaultConfig(10)
+	cfg.NewPF = nil
+	net, en := buildEngine(t, 10, cfg, 10, churn.Static{}, 13)
+	en.Step()
+	net.Peers[0].Publish(envOf(t, en, 0), "k", []byte("v"))
+	en.Run(5)
+
+	p := net.Peers[5]
+	clock, updates := p.Store().Clock(), p.Store().UpdateCount()
+	catchups := en.Metrics().Counter(MetricSnapshotCatchups)
+	p.HandleMessage(envOf(t, en, 5), simnet.Message{From: 43, To: 5, Payload: engine.Message[int]{
+		Kind: engine.KindSnapshot, Snapshot: []byte("not a snapshot"), Peers: []int{42},
+	}})
+
+	if got := p.Store().Clock(); got.Compare(clock) != version.Equal {
+		t.Fatalf("clock moved: %v -> %v", clock, got)
+	}
+	if got := p.Store().UpdateCount(); got != updates {
+		t.Fatalf("store holds %d updates, want %d", got, updates)
+	}
+	if got := en.Metrics().Counter(MetricSnapshotCatchups); got != catchups {
+		t.Fatalf("catch-ups counted %g -> %g for a dropped frame", catchups, got)
+	}
+	if p.Knows(42) || p.Knows(43) {
+		t.Fatal("an undecodable snapshot taught the membership view")
 	}
 }

@@ -113,3 +113,62 @@ func TestCrashRestartReconvergesViaPull(t *testing.T) {
 		t.Fatal("restarted replica store diverges from a survivor")
 	}
 }
+
+// TestDisklessRestartKeepsSequence restarts a replica on the same address
+// with no disk at all: it gets its own history back from a peer by pull
+// delta, and its next write must continue the sequence instead of reusing a
+// number the cluster already holds (which every node would then drop as a
+// duplicate).
+func TestDisklessRestartKeepsSequence(t *testing.T) {
+	cfg := Config{Fanout: 1, PullAttempts: 1}
+	hub := NewHub()
+	start := func(addr string, peers ...string) (*Replica, *MemTransport) {
+		t.Helper()
+		tr, err := hub.Attach(addr)
+		if err != nil {
+			t.Fatalf("attach %s: %v", addr, err)
+		}
+		r, err := NewReplica(cfg, tr)
+		if err != nil {
+			t.Fatalf("new replica %s: %v", addr, err)
+		}
+		r.AddPeers(peers...)
+		r.Start()
+		t.Cleanup(r.Stop)
+		return r, tr
+	}
+	a, trA := start("a", "b")
+	b, _ := start("b", "a")
+
+	k1, err := a.Publish("k1", []byte("1"))
+	if err != nil {
+		t.Fatalf("publish k1: %v", err)
+	}
+	eventually(t, 2*time.Second, func() bool { return b.HasUpdate(k1.ID()) },
+		"k1 never reached b")
+
+	// The process dies with its disk; a fresh one takes the address and
+	// pulls its own k1 back from b.
+	a.Stop()
+	if err := trA.Close(); err != nil {
+		t.Fatalf("close transport: %v", err)
+	}
+	a, _ = start("a", "b")
+	eventually(t, 2*time.Second, func() bool { return a.HasUpdate(k1.ID()) },
+		"restarted replica never pulled k1 back")
+
+	k2, err := a.Publish("k2", []byte("2"))
+	if err != nil {
+		t.Fatalf("publish k2: %v", err)
+	}
+	if k2.Seq != 2 {
+		t.Fatalf("k2 issued as %s, want seq 2 after k1 came back", k2.ID())
+	}
+	if rev, ok := a.Get("k2"); !ok || string(rev.Value) != "2" {
+		t.Fatalf("k2 not readable on the writer: %v %v", rev, ok)
+	}
+	eventually(t, 2*time.Second, func() bool {
+		rev, ok := b.Get("k2")
+		return ok && string(rev.Value) == "2"
+	}, "k2 never reached b")
+}

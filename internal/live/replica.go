@@ -1,7 +1,6 @@
 package live
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -154,7 +153,8 @@ type Replica struct {
 	transport Transport
 	addr      string
 	st        store.Backend
-	writer    *store.Writer
+	// in is the shared ingest step over st and the replica's writer.
+	in engine.Ingest
 
 	mu      sync.Mutex
 	eng     *engine.Engine[string]
@@ -250,7 +250,7 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.writer = w
+	r.in = engine.Ingest{Store: r.st, Writer: w}
 	eng, err := engine.New(engine.Config[string]{
 		Fanout:          float64(cfg.Fanout),
 		NewPF:           cfg.NewPF,
@@ -284,7 +284,7 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 				r.pending = append(r.pending, protoEvent{kind: evSuspect, peer: peer})
 			},
 		},
-	}, liveEndpoint{r}, r.st, w)
+	}, liveEndpoint{r}, r.st)
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
@@ -391,12 +391,13 @@ func (r *Replica) PendingSendBytes() (current, peak int64) {
 }
 
 // handle is the transport's inbound callback. The conversion from wire to
-// engine form — and, for update-carrying messages, the store apply itself —
-// runs here, on the connection-reader goroutine, outside the replica mutex;
-// only the engine's protocol bookkeeping (r.run) is serialised. The sharded
-// store stripes its locks by origin and key, so readers draining different
-// peers apply concurrently and the critical section shrinks to membership,
-// flooding lists, and the forwarding decision. The transport decodes frames
+// engine form — and, for update-carrying messages, the shared ingest step
+// (engine.Ingest) plus the WAL appends on its outcomes — runs here, on the
+// connection-reader goroutine, outside the replica mutex; only the engine's
+// protocol bookkeeping (r.run) is serialised. The sharded store stripes its
+// locks by origin and key, so readers draining different peers apply
+// concurrently and the critical section shrinks to membership, flooding
+// lists, and the forwarding decision. The transport decodes frames
 // into reused envelope structs, so container fields must be consumed before
 // returning; everything handed to the engine that outlives this call (update
 // values, version histories, strings) is decoder-fresh.
@@ -404,7 +405,11 @@ func (r *Replica) handle(env wire.Envelope) {
 	switch env.Kind {
 	case wire.KindPush:
 		r.inc(MetricPushReceived)
-		pre := r.preApply(env.Update)
+		pre := r.in.Push(env.Update)
+		if pre.Res != store.Duplicate {
+			// Log before the engine acknowledges the push.
+			_ = r.walAppend(env.Update)
+		}
 		r.run(func(e *engine.Engine[string]) {
 			e.HandlePushApplied(env.From, engine.Message[string]{
 				Kind: engine.KindPush, Update: env.Update, RF: env.RF, T: env.T,
@@ -420,14 +425,8 @@ func (r *Replica) handle(env wire.Envelope) {
 		// The decoder reuses env.Updates' backing array; the engine keeps
 		// its own.
 		updates := append([]store.Update(nil), env.Updates...)
-		pre := make([]engine.Applied, len(updates))
-		for i, u := range updates {
-			res, branches := r.st.ApplyObserved(u)
-			pre[i] = engine.Applied{Res: res, Branches: branches}
-			if res != store.Duplicate {
-				_ = r.walAppend(u)
-			}
-		}
+		pre := r.in.Updates(updates)
+		r.walAppendIngested(updates, pre)
 		r.run(func(e *engine.Engine[string]) {
 			e.HandlePullRespApplied(env.From, engine.Message[string]{
 				Kind: engine.KindPullResp, Updates: updates, Peers: env.KnownPeers,
@@ -457,33 +456,19 @@ func (r *Replica) handle(env wire.Envelope) {
 		})
 	case wire.KindSnapshot:
 		// The whole catch-up — decode, apply, frontier adoption — runs on the
-		// reader goroutine; only the engine bookkeeping is serialised. Apply
-		// order: updates first, then the watermark, so entries the sender
-		// retained below its watermark are not rejected as duplicates.
-		updates, wm, err := store.DecodeSnapshot(bytes.NewReader(env.Snapshot))
+		// reader goroutine; only the engine bookkeeping is serialised.
+		updates, pre, wm, err := r.in.Snapshot(env.Snapshot)
 		if err != nil {
 			r.inc(MetricSnapshotRejected)
 			return
 		}
 		r.inc(MetricSnapshotCatchups)
-		refs := make([]store.Ref, len(updates))
-		for i, u := range updates {
-			res, branches := r.st.ApplyObserved(u)
-			refs[i] = u.Ref()
-			r.fireApply(u, res, SourcePull, branches)
-			if res != store.Duplicate {
-				_ = r.walAppend(u)
-			}
-		}
-		r.st.AdoptFrontier(wm)
+		r.walAppendIngested(updates, pre)
 		r.walAppendFrontier(wm)
-		// The snapshot may carry our own origin past the writer's counter
-		// (restart after disk loss); never reuse sequence numbers.
-		r.writer.Resync()
 		r.run(func(e *engine.Engine[string]) {
 			e.HandleSnapshotApplied(env.From, engine.Message[string]{
-				Kind: engine.KindSnapshot, Peers: env.KnownPeers,
-			}, refs)
+				Kind: engine.KindSnapshot, Updates: updates, Peers: env.KnownPeers,
+			}, pre)
 		})
 	}
 }
@@ -543,25 +528,6 @@ func detachAll(updates []store.Update) []store.Update {
 		out[i] = detach(u)
 	}
 	return out
-}
-
-// preApply offers one pushed update to the store on the calling (connection
-// reader) goroutine, before the engine's critical section. Updates the store
-// has already logged skip the write entirely — the same short-circuit the
-// engine's duplicate path provides, done here against the origin's log shard
-// so duplicate floods never contend on item shards.
-func (r *Replica) preApply(u store.Update) engine.Applied {
-	if r.st.Seen(u.Ref()) {
-		return engine.Applied{Res: store.Duplicate, Branches: r.st.BranchCount(u.Key)}
-	}
-	res, branches := r.st.ApplyObserved(u)
-	if res != store.Duplicate {
-		// Log before the engine acknowledges the push. The store apply
-		// precedes the log record, so a checkpoint snapshot taken later
-		// always covers every record already in sealed segments.
-		_ = r.walAppend(u)
-	}
-	return engine.Applied{Res: res, Branches: branches}
 }
 
 // Addr returns the replica's address.
@@ -705,7 +671,7 @@ func (r *Replica) RunJanitor() {
 // Publish returns; a logging failure returns the update with an error — the
 // write is applied locally but not durable, and is not pushed.
 func (r *Replica) Publish(key string, value []byte) (store.Update, error) {
-	u, branches := r.writer.PutObserved(key, value)
+	u, branches := r.in.Writer.PutObserved(key, value)
 	if err := r.walAppend(u); err != nil {
 		return u, err
 	}
@@ -716,7 +682,7 @@ func (r *Replica) Publish(key string, value []byte) (store.Update, error) {
 // Delete creates and pushes a tombstone for key. The durability contract
 // matches Publish.
 func (r *Replica) Delete(key string) (store.Update, error) {
-	u, branches := r.writer.DeleteObserved(key)
+	u, branches := r.in.Writer.DeleteObserved(key)
 	if err := r.walAppend(u); err != nil {
 		return u, err
 	}
@@ -745,6 +711,6 @@ func (r *Replica) RestoreSnapshot(rd io.Reader) error {
 	if err := r.st.RestoreSnapshot(rd); err != nil {
 		return err
 	}
-	r.writer.Resync()
+	r.in.Writer.Resync()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wal"
@@ -46,6 +47,21 @@ func (r *Replica) walAppend(u store.Update) error {
 		return nil
 	}
 	return r.cfg.WAL.Append(u)
+}
+
+// walAppendIngested logs, in order, every update the shared ingest step
+// found new to the store. The store applies precede the records, so a
+// checkpoint snapshot taken later always covers every record already in
+// sealed segments.
+func (r *Replica) walAppendIngested(updates []store.Update, pre []engine.Applied) {
+	if r.cfg.WAL == nil {
+		return
+	}
+	for i, u := range updates {
+		if pre[i].Res != store.Duplicate {
+			_ = r.cfg.WAL.Append(u)
+		}
+	}
 }
 
 // walAppendFrontier logs a wholesale frontier adoption (snapshot catch-up).
@@ -103,7 +119,7 @@ func (r *Replica) RecoverWAL() (WALRecovery, error) {
 	}
 	// The log may carry our own origin past the writer's counter; never
 	// reuse sequence numbers after a restart.
-	r.writer.Resync()
+	r.in.Writer.Resync()
 	rec.TruncatedBytes = l.Stats().TruncatedBytes
 	r.add(wal.MetricReplayed, rec.Replayed)
 	r.add(wal.MetricReplayDuplicates, rec.Duplicates)

@@ -226,10 +226,12 @@ func (en *Engine) Crashed(id int) bool { return en.crashed[id] }
 func (en *Engine) send(from, to int, payload any, bytes int) {
 	en.reg.Inc(MetricMessages)
 	en.reg.Add(MetricBytes, float64(bytes))
-	en.tracer.Record(trace.Event{
-		Round: en.round, Kind: trace.KindSend, From: from, To: to,
-		Note: fmt.Sprintf("%T %dB", payload, bytes),
-	})
+	if en.tracer != nil {
+		en.tracer.Record(trace.Event{
+			Round: en.round, Kind: trace.KindSend, From: from, To: to,
+			Note: fmt.Sprintf("%s %dB", payloadName(payload), bytes),
+		})
+	}
 	if en.loss > 0 && en.rng.Float64() < en.loss {
 		en.reg.Inc(MetricMessagesDropped)
 		en.tracer.Record(trace.Event{
@@ -267,6 +269,15 @@ func (en *Engine) send(from, to int, payload any, bytes int) {
 		From: from, To: to, SentAt: en.round, DeliverAt: en.round + 1 + delay,
 		Payload: payload, Bytes: bytes, reorder: reorder,
 	})
+}
+
+// payloadName names a payload for trace notes: its String form when it
+// has one (protocol messages name their kind), otherwise its type.
+func payloadName(payload any) string {
+	if s, ok := payload.(fmt.Stringer); ok {
+		return s.String()
+	}
+	return fmt.Sprintf("%T", payload)
 }
 
 func (en *Engine) env(self int) *Env { return &Env{engine: en, self: self} }
