@@ -286,20 +286,6 @@ func BenchmarkVectorClockMerge(b *testing.B) {
 	}
 }
 
-func BenchmarkReplicaListUnion(b *testing.B) {
-	xs := make([]int, 200)
-	ys := make([]int, 200)
-	for i := range xs {
-		xs[i] = i
-		ys[i] = i + 100
-	}
-	la, lb := replicalist.FromSlice(xs), replicalist.FromSlice(ys)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = la.Union(lb)
-	}
-}
-
 func BenchmarkPGridRoute(b *testing.B) {
 	g, err := pgrid.Build(1024, 8, 3, 1)
 	if err != nil {

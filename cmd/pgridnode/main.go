@@ -7,6 +7,10 @@
 //	pgridnode -listen 127.0.0.1:7002 -peers 127.0.0.1:7001
 //	pgridnode -listen 127.0.0.1:7003 -peers 127.0.0.1:7001,127.0.0.1:7002
 //
+// A node is diskless unless given -wal-dir: then every write is logged
+// before it is acknowledged, and restarting on the same address with the
+// same directory recovers the node's state and continues its sequence.
+//
 // Then type commands on stdin:
 //
 //	put <key> <value>   publish an update
@@ -48,7 +52,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fanout := fs.Int("fanout", 5, "push fanout")
 	pfSpec := fs.String("pf", "geom:0.9", "forwarding probability schedule")
 	pullSecs := fs.Duration("pull-interval", 0, "anti-entropy period (0 = default 30s)")
-	snapshot := fs.String("snapshot", "", "state file: restored at start, written at quit")
+	walDir := fs.String("wal-dir", "", "write-ahead-log directory: every write is durable before it is acknowledged, and a restart recovers the node's state from it (empty = diskless)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -68,22 +72,15 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	if *peers != "" {
 		opts = append(opts, pushpull.WithPeers(strings.Split(*peers, ",")...))
 	}
-	var snapFile *os.File
-	if *snapshot != "" {
-		// A missing state file is fine on first start.
-		f, err := os.Open(*snapshot)
-		switch {
-		case err == nil:
-			snapFile = f
-			opts = append(opts, pushpull.WithSnapshot(f))
-		case !os.IsNotExist(err):
-			return fmt.Errorf("open snapshot: %w", err)
+	if *walDir != "" {
+		walLog, err := pushpull.OpenWAL(pushpull.WALOptions{Dir: *walDir})
+		if err != nil {
+			return fmt.Errorf("open wal: %w", err)
 		}
+		defer walLog.Close()
+		opts = append(opts, pushpull.WithWAL(walLog))
 	}
 	node, err := pushpull.Open(opts...)
-	if snapFile != nil {
-		snapFile.Close()
-	}
 	if err != nil {
 		return err
 	}
@@ -95,33 +92,10 @@ func run(args []string, in io.Reader, out io.Writer) error {
 
 	fmt.Fprintf(out, "replica listening on %s (%d known peers)\n",
 		node.Addr(), len(node.Peers()))
-	if err := repl(node, in, out); err != nil {
-		return err
+	if rec, ok := node.WALRecovery(); ok && rec.Restored() > 0 {
+		fmt.Fprintf(out, "recovered %d updates from %s\n", rec.Restored(), *walDir)
 	}
-	if *snapshot != "" {
-		return saveSnapshot(node, *snapshot)
-	}
-	return nil
-}
-
-// saveSnapshot writes the state file atomically (temp + rename).
-func saveSnapshot(n *pushpull.Node, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("create snapshot: %w", err)
-	}
-	if err := n.WriteSnapshot(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("rename snapshot: %w", err)
-	}
-	return nil
+	return repl(node, in, out)
 }
 
 func repl(n *pushpull.Node, in io.Reader, out io.Writer) error {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net"
 	"strings"
 	"testing"
 )
@@ -70,22 +71,41 @@ func TestNodeBadFlags(t *testing.T) {
 	}
 }
 
+// TestNodeSnapshotPersistence restarts a node on the same address and
+// -wal-dir: the second process recovers the first one's write from the log,
+// and its next write continues the sequence instead of reusing it.
 func TestNodeSnapshotPersistence(t *testing.T) {
-	path := t.TempDir() + "/state.snap"
+	dir := t.TempDir()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	args := []string{"-listen", addr, "-wal-dir", dir}
+
 	var out strings.Builder
-	err := run([]string{"-listen", "127.0.0.1:0", "-snapshot", path},
-		strings.NewReader("put motto persistence\nquit\n"), &out)
+	err = run(args, strings.NewReader("put motto persistence\nquit\n"), &out)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	// Second process restores the state.
+	if want := "published " + addr + "/1 "; !strings.Contains(out.String(), want) {
+		t.Fatalf("first write not %q:\n%s", want, out.String())
+	}
+	// Second process recovers the state from the log.
 	out.Reset()
-	err = run([]string{"-listen", "127.0.0.1:0", "-snapshot", path},
-		strings.NewReader("get motto\nquit\n"), &out)
+	err = run(args, strings.NewReader("get motto\nput motto again\nquit\n"), &out)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
-	if !strings.Contains(out.String(), `motto = "persistence"`) {
-		t.Fatalf("state not restored:\n%s", out.String())
+	got := out.String()
+	for _, want := range []string{
+		"recovered 1 updates from " + dir,
+		`motto = "persistence"`,
+		"published " + addr + "/2 ",
+	} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("output missing %q:\n%s", want, got)
+		}
 	}
 }

@@ -75,19 +75,21 @@ func run() error {
 	}
 	fmt.Println("updates 2+3 reached the four survivors")
 
-	// Restart node 4 on a fresh port, restored from its snapshot. It opens
+	// Restart node 4 on a fresh port and restore its snapshot. It opens
 	// peerless so the pre-crash state can be verified, then rejoins and
 	// reconciles by pulling.
 	restarted, err := pushpull.Open(
 		pushpull.WithTCP("127.0.0.1:0"),
 		pushpull.WithPullInterval(50*time.Millisecond),
 		pushpull.WithSeed(99),
-		pushpull.WithSnapshot(&snapshot),
 	)
 	if err != nil {
 		return err
 	}
 	defer restarted.Close(ctx)
+	if err := restarted.RestoreSnapshot(&snapshot); err != nil {
+		return err
+	}
 	if rev, ok := restarted.Get("config/rate"); !ok || string(rev.Value) != "100" {
 		return fmt.Errorf("snapshot restore lost state")
 	}

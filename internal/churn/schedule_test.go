@@ -132,7 +132,7 @@ func TestSchedulePopulation(t *testing.T) {
 // TestScheduleForwardsBeginRound checks that a Schedule stacked on another
 // round-aware process forwards BeginRound to it.
 func TestScheduleForwardsBeginRound(t *testing.T) {
-	inner := &Catastrophe{Base: Static{}, At: 1, Fraction: 1}
+	inner := mustSchedule(t, Static{}, Event{Round: 1, Kind: Knockout, Fraction: 1})
 	s, err := NewSchedule(inner, Event{Round: 3, Kind: Revive, Fraction: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -142,13 +142,22 @@ func TestScheduleForwardsBeginRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop.Step(1) // inner catastrophe fires only if BeginRound reached it
+	pop.Step(1) // inner knockout fires only if BeginRound reached it
 	if got := pop.OnlineCount(); got != 0 {
-		t.Fatalf("round 1: %d online, want 0 (catastrophe missed BeginRound)", got)
+		t.Fatalf("round 1: %d online, want 0 (inner knockout missed BeginRound)", got)
 	}
 	pop.Step(2)
 	pop.Step(3) // schedule's own revival
 	if got := pop.OnlineCount(); got != 4 {
 		t.Fatalf("round 3: %d online, want 4", got)
 	}
+}
+
+func mustSchedule(t *testing.T, base Process, events ...Event) *Schedule {
+	t.Helper()
+	s, err := NewSchedule(base, events...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

@@ -110,9 +110,6 @@ type Config[ID comparable] struct {
 	// which Tick triggers a pull ("no_updates_since(t)"). Zero disables
 	// timeout-driven pulls.
 	PullTimeout int64
-	// PullGossipSample is the number of peer ids piggybacked on pull
-	// responses; 0 means 16.
-	PullGossipSample int
 	// SnapshotCatchUp is the delta-size threshold of the snapshot catch-up
 	// path: a pull request missing more than this many updates is answered
 	// with a full snapshot frame instead of an entry-by-entry delta. 0
@@ -188,7 +185,7 @@ func (c Config[ID]) Validate() error {
 // the duplicate count (the §6 local tuning metric), and the PF instance that
 // decides forwarding.
 type updateState[ID comparable] struct {
-	rf    *orderedSet[ID]
+	rf    *replicalist.Set[ID]
 	dupes int
 	pfn   pf.Func
 }
@@ -255,7 +252,7 @@ type Engine[ID comparable] struct {
 	self ID
 	st   store.Backend
 
-	view   *peerView[ID] // known replicas, never containing self
+	view   *replicalist.View[ID] // known replicas, never containing self
 	states map[store.Ref]*updateState[ID]
 
 	// scratch is the reusable peer-sampling buffer; sample takes it and
@@ -305,15 +302,12 @@ func New[ID comparable](cfg Config[ID], ep Endpoint[ID], st store.Backend) (*Eng
 	if cfg.TruncatePolicy == 0 {
 		cfg.TruncatePolicy = replicalist.DropRandom
 	}
-	if cfg.PullGossipSample <= 0 {
-		cfg.PullGossipSample = defaultPullGossipSample
-	}
 	return &Engine[ID]{
 		cfg:         cfg,
 		ep:          ep,
 		self:        ep.Self(),
 		st:          st,
-		view:        newPeerView[ID](16),
+		view:        replicalist.NewView[ID](16),
 		states:      make(map[store.Ref]*updateState[ID]),
 		pullClocks:  make(map[ID]pullClock),
 		scratch:     make([]ID, 0, 16),
@@ -324,9 +318,8 @@ func New[ID comparable](cfg Config[ID], ep Endpoint[ID], st store.Backend) (*Eng
 	}, nil
 }
 
-// defaultPullGossipSample is the number of peer ids piggybacked on pull
-// responses when the configuration does not say otherwise.
-const defaultPullGossipSample = 16
+// pullGossipSample is the number of peer ids piggybacked on pull responses.
+const pullGossipSample = 16
 
 // Store returns the engine's replica store.
 func (e *Engine[ID]) Store() store.Backend { return e.st }
@@ -346,7 +339,7 @@ func (e *Engine[ID]) Self() ID { return e.self }
 // resync their writer afterwards, so the re-registration sees the recovered
 // log.
 func (e *Engine[ID]) Restart(bootstrap []ID) {
-	e.view = newPeerView[ID](16)
+	e.view = replicalist.NewView[ID](16)
 	e.states = make(map[store.Ref]*updateState[ID])
 	e.ackedBy = make(map[ID]int64)
 	e.ackedOrder = nil
@@ -381,9 +374,9 @@ func (e *Engine[ID]) Learn(id ID) bool {
 		// Place the newcomer in the segment its ack history demands: a peer
 		// can ack (or be suspected) before the membership view learns it.
 		if _, suspected := e.suspects[id]; suspected {
-			e.view.suspend(id)
+			e.view.Suspend(id)
 		} else if _, acked := e.ackedBy[id]; acked {
-			e.view.promote(id)
+			e.view.Promote(id)
 		}
 	}
 	return true
@@ -468,7 +461,7 @@ func (e *Engine[ID]) FloodingList(updateID string) []ID {
 func (e *Engine[ID]) NotConfident() bool { return e.notConfident }
 
 func (e *Engine[ID]) newState() *updateState[ID] {
-	s := &updateState[ID]{rf: newOrderedSet[ID](8)}
+	s := &updateState[ID]{rf: replicalist.NewSet[ID](8)}
 	if e.cfg.NewPF != nil {
 		s.pfn = e.cfg.NewPF()
 	} else {
@@ -645,9 +638,9 @@ func (e *Engine[ID]) sendPushes(u store.Update, targets []ID, state *updateState
 // carried renders a flooding list for the wire, applying the ListMax
 // truncation (§4.2). The local accumulated list is never truncated — only
 // the transmitted copy. When no truncation applies the backing slice is
-// shared rather than copied: an orderedSet only ever appends, so an aliased
-// prefix stays valid even as the set keeps growing.
-func (e *Engine[ID]) carried(rf *orderedSet[ID]) []ID {
+// shared rather than copied: a replicalist.Set only ever appends, so an
+// aliased prefix stays valid even as the set keeps growing.
+func (e *Engine[ID]) carried(rf *replicalist.Set[ID]) []ID {
 	if !e.cfg.PartialList {
 		return nil
 	}
@@ -728,7 +721,7 @@ func (e *Engine[ID]) sendPull() {
 func (e *Engine[ID]) handlePullReq(from ID, m Message[ID]) {
 	e.Learn(from)
 	e.recordPullClock(from, m.Clock)
-	sample := e.sampleExcluding(e.cfg.PullGossipSample, from)
+	sample := e.sampleExcluding(pullGossipSample, from)
 	// The sample aliases the engine's scratch buffer; the message escapes to
 	// the adapter, so it gets its own copy.
 	var peers []ID
@@ -895,7 +888,7 @@ func (e *Engine[ID]) handleAck(from ID) {
 	delete(e.suspects, from)
 	delete(e.awaitingAck, from)
 	if e.cfg.Acks {
-		e.view.promote(from)
+		e.view.Promote(from)
 	}
 	if e.cfg.Hooks.OnAck != nil {
 		e.cfg.Hooks.OnAck(from)
@@ -908,7 +901,7 @@ func (e *Engine[ID]) handleAck(from ID) {
 func (e *Engine[ID]) suspect(peer ID, now int64) {
 	e.suspects[peer] = now
 	e.suspectQ.push(peer, now)
-	e.view.suspend(peer)
+	e.view.Suspend(peer)
 	if e.cfg.Hooks.OnSuspect != nil {
 		e.cfg.Hooks.OnSuspect(peer)
 	}
@@ -955,7 +948,7 @@ func (e *Engine[ID]) expireSuspects(now int64) {
 		if since, suspected := e.suspects[head.peer]; suspected && since == head.at {
 			delete(e.suspects, head.peer)
 			_, acked := e.ackedBy[head.peer]
-			e.view.release(head.peer, acked)
+			e.view.Release(head.peer, acked)
 		}
 	}
 }
@@ -1075,5 +1068,5 @@ func (e *Engine[ID]) sampleFrom(k int, exclude ID, haveExclude bool) []ID {
 		e.expireSuspects(now)
 	}
 	out := e.takeScratch()
-	return e.view.sampleInto(out, k, e.ep.Rand(), exclude, haveExclude)
+	return e.view.SampleInto(out, k, e.ep.Rand(), exclude, haveExclude)
 }

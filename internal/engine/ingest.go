@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"time"
 
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
@@ -16,7 +17,8 @@ import (
 //
 // Every path re-syncs the writer when the store accepts an update of the
 // local origin: a replica that lost its disk gets its own history back from
-// peers, and its next write must not reuse a sequence number they hold.
+// peers, possibly a/2 before a/1, and its next write must not reuse a
+// sequence number they hold (store.Writer.Resync).
 type Ingest struct {
 	// Store is the replica store updates are applied to.
 	Store store.Backend
@@ -84,4 +86,21 @@ func (in Ingest) apply(u store.Update) Applied {
 		in.Writer.Resync()
 	}
 	return Applied{Res: res, Branches: branches}
+}
+
+// Janitor runs one maintenance pass over st, the sequence both drivers
+// share: expire revisions at least keyTTL old into tombstones (when keyTTL
+// > 0), collect tombstones past retention, then compact the log up to the
+// frontier — the engine's StableFrontier, read last — when one is known. It
+// returns the three counts; each driver reports them under its own metric
+// names.
+func Janitor(st store.Backend, now time.Time, keyTTL time.Duration, frontier func() version.Clock) (expired, collected, compacted int) {
+	if keyTTL > 0 {
+		expired = st.ExpireTTL(now, keyTTL)
+	}
+	collected = st.GCTombstones(now)
+	if f := frontier(); f != nil {
+		compacted = st.CompactLog(f)
+	}
+	return expired, collected, compacted
 }

@@ -150,8 +150,10 @@ func TestEngineNeverWritesStore(t *testing.T) {
 }
 
 // TestIngestResyncsWriterOnOwnOrigin restarts a writer on an empty store and
-// hands its own earlier update back through each ingest path: the next
-// write must continue the sequence, not reuse it.
+// hands its own earlier updates back through each ingest path: the next
+// write must continue after the highest sequence number handed back, not
+// reuse it — also when a/2 comes back without a/1, past the store's
+// contiguous clock.
 func TestIngestResyncsWriterOnOwnOrigin(t *testing.T) {
 	newWriter := func(st store.Backend) *store.Writer {
 		t.Helper()
@@ -161,27 +163,79 @@ func TestIngestResyncsWriterOnOwnOrigin(t *testing.T) {
 		}
 		return w
 	}
-	before := newWriter(store.New()).Put("k", []byte("v"))
+	old := newWriter(store.New())
+	first := old.Put("k", []byte("v"))
+	second := old.Put("k", []byte("v2"))
+	snapshot := func(updates ...store.Update) func(in Ingest) {
+		return func(in Ingest) {
+			if _, _, _, err := in.Snapshot(snapshotOf(t, updates...)); err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+		}
+	}
 
 	for _, tt := range []struct {
 		name   string
 		ingest func(in Ingest)
+		last   store.Update
 	}{
-		{"push", func(in Ingest) { in.Push(before) }},
-		{"pull delta", func(in Ingest) { in.Updates([]store.Update{before}) }},
-		{"snapshot", func(in Ingest) {
-			if _, _, _, err := in.Snapshot(snapshotOf(t, before)); err != nil {
-				t.Fatalf("Snapshot: %v", err)
-			}
-		}},
+		{"push", func(in Ingest) { in.Push(first) }, first},
+		{"pull delta", func(in Ingest) { in.Updates([]store.Update{first}) }, first},
+		{"snapshot", snapshot(first), first},
+		{"push a2 without a1", func(in Ingest) { in.Push(second) }, second},
+		{"snapshot holding a2 without a1", snapshot(second), second},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			st := store.New()
 			in := Ingest{Store: st, Writer: newWriter(st)}
 			tt.ingest(in)
-			if u := in.Writer.Put("k2", []byte("v2")); u.Seq != before.Seq+1 {
-				t.Fatalf("next write got seq %d, want %d", u.Seq, before.Seq+1)
+			if u := in.Writer.Put("k2", []byte("v2")); u.Seq != tt.last.Seq+1 {
+				t.Fatalf("next write got seq %d, want %d", u.Seq, tt.last.Seq+1)
 			}
 		})
+	}
+}
+
+// TestJanitorSequence pins the shared maintenance pass: TTL expiry only
+// when a TTL is set, tombstone GC, and compaction only once a frontier is
+// known — read after the GC, so the log it compacts is already collected.
+func TestJanitorSequence(t *testing.T) {
+	stamp := time.Unix(1_700_000_000, 0)
+	later := stamp.Add(time.Hour)
+	build := func() *store.Store {
+		t.Helper()
+		st := store.NewWithRetention(time.Second)
+		w, err := store.NewWriter("peer-0", st, func() time.Time { return stamp },
+			rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatalf("NewWriter: %v", err)
+		}
+		w.Put("live", []byte("v"))
+		w.Put("gone", []byte("v"))
+		w.Delete("gone")
+		return st
+	}
+
+	st := build()
+	expired, collected, compacted := Janitor(st, later, 0, func() version.Clock { return nil })
+	if expired != 0 || collected != 1 || compacted != 0 {
+		t.Fatalf("no TTL, no frontier: got %d/%d/%d, want 0/1/0", expired, collected, compacted)
+	}
+	if _, ok := st.Get("live"); !ok {
+		t.Fatal("live key expired without a TTL")
+	}
+
+	st = build()
+	expired, collected, compacted = Janitor(st, later, time.Minute, func() version.Clock {
+		if st.BranchCount("gone") != 0 {
+			t.Fatal("frontier read before the tombstone GC")
+		}
+		return st.Clock()
+	})
+	if expired != 1 || collected != 2 || compacted != 3 {
+		t.Fatalf("TTL and frontier: got %d/%d/%d, want 1/2/3", expired, collected, compacted)
+	}
+	if st.UpdateCount() != 0 {
+		t.Fatalf("%d log entries survive compaction", st.UpdateCount())
 	}
 }

@@ -1,9 +1,10 @@
 package engine
 
-// Tests for the O(k) partitioned peer sampler: uniformity of the steady
-// path, the §6 preferred/suspect behaviour under acks, the exclude-one fast
-// path, the stable ordering of the ack-bookkeeping accessors, and the
-// partition invariants of peerView under randomised operation sequences.
+// Tests for the engine's O(k) peer sampling over the partitioned
+// replicalist.View: uniformity of the steady path, the §6 preferred/suspect
+// behaviour under acks, the exclude-one fast path, the stable ordering of the
+// ack-bookkeeping accessors, and the agreement of the view's segments with
+// the ack state under randomised operation sequences.
 
 import (
 	"math/rand"
@@ -185,30 +186,35 @@ func TestAckBookkeepingStableOrder(t *testing.T) {
 	}
 }
 
-// checkViewInvariants asserts the peerView partition is internally
-// consistent: pos mirrors order, segment bounds are sane, and every peer is
-// in the segment its engine state demands.
+// checkViewInvariants asserts the view partition is internally consistent
+// (sane segment bounds, every peer present once) and every peer is in the
+// segment its engine state demands. The view's own position index is
+// checked in replicalist.TestViewInvariantsUnderRandomOps.
 func checkViewInvariants(t *testing.T, e *Engine[int]) {
 	t.Helper()
 	v := e.view
-	if v.nPref < 0 || v.nPref > v.nAvail || v.nAvail > len(v.order) {
-		t.Fatalf("segment bounds broken: nPref=%d nAvail=%d len=%d", v.nPref, v.nAvail, len(v.order))
+	order := v.Slice()
+	nPref, nAvail := v.Segments()
+	if nPref < 0 || nPref > nAvail || nAvail > len(order) {
+		t.Fatalf("segment bounds broken: nPref=%d nAvail=%d len=%d", nPref, nAvail, len(order))
 	}
-	if len(v.pos) != len(v.order) {
-		t.Fatalf("pos has %d entries, order %d", len(v.pos), len(v.order))
+	if v.Len() != len(order) {
+		t.Fatalf("Len = %d, Slice has %d entries", v.Len(), len(order))
 	}
-	for i, id := range v.order {
-		if v.pos[id] != i {
-			t.Fatalf("pos[%d] = %d, order says %d", id, v.pos[id], i)
+	seen := make(map[int]bool, len(order))
+	for i, id := range order {
+		if seen[id] || !v.Contains(id) {
+			t.Fatalf("peer %d at %d repeated or not contained: %v", id, i, order)
 		}
+		seen[id] = true
 		_, suspected := e.suspects[id]
 		_, acked := e.ackedBy[id]
 		switch {
-		case i < v.nPref: // preferred: acked and not suspected
+		case i < nPref: // preferred: acked and not suspected
 			if !acked || suspected {
 				t.Fatalf("peer %d preferred but acked=%v suspected=%v", id, acked, suspected)
 			}
-		case i < v.nAvail: // available: not suspected
+		case i < nAvail: // available: not suspected
 			if suspected {
 				t.Fatalf("peer %d available but suspected", id)
 			}

@@ -91,10 +91,11 @@ func TestCatastrophicFailureRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := &churn.Catastrophe{
-		Base:     churn.Bernoulli{Sigma: 1, POn: 0.1},
-		At:       2, // strike while the push is in flight
-		Fraction: 0.8,
+	cat, err := churn.NewSchedule(churn.Bernoulli{Sigma: 1, POn: 0.1},
+		// Strike while the push is in flight.
+		churn.Event{Round: 2, Kind: churn.Knockout, Fraction: 0.8})
+	if err != nil {
+		t.Fatal(err)
 	}
 	en, err := simnet.NewEngine(simnet.Config{
 		Nodes:         net.Nodes,

@@ -226,22 +226,21 @@ func NewPeer(id int, cfg Config) (*Peer, error) {
 		}
 	}
 	eng, err := engine.New(engine.Config[int]{
-		Fanout:           float64(cfg.R) * cfg.Fr,
-		NewPF:            cfg.NewPF,
-		PartialList:      cfg.PartialList,
-		ListMax:          listMax,
-		TruncatePolicy:   cfg.TruncatePolicy,
-		Population:       cfg.R,
-		PullAttempts:     cfg.PullAttempts,
-		LazyPull:         cfg.LazyPull,
-		PullTimeout:      int64(cfg.PullTimeout),
-		PullGossipSample: pullGossipSample,
-		Acks:             cfg.Ack == AckFirst,
-		AckTimeout:       ackTimeoutRounds,
-		SuspectTTL:       int64(cfg.suspectTTL()),
-		SnapshotCatchUp:  cfg.SnapshotCatchUp,
-		FrontierTTL:      int64(cfg.FrontierTTL),
-		QueryTimeout:     queryTimeoutRounds,
+		Fanout:          float64(cfg.R) * cfg.Fr,
+		NewPF:           cfg.NewPF,
+		PartialList:     cfg.PartialList,
+		ListMax:         listMax,
+		TruncatePolicy:  cfg.TruncatePolicy,
+		Population:      cfg.R,
+		PullAttempts:    cfg.PullAttempts,
+		LazyPull:        cfg.LazyPull,
+		PullTimeout:     int64(cfg.PullTimeout),
+		Acks:            cfg.Ack == AckFirst,
+		AckTimeout:      ackTimeoutRounds,
+		SuspectTTL:      int64(cfg.suspectTTL()),
+		SnapshotCatchUp: cfg.SnapshotCatchUp,
+		FrontierTTL:     int64(cfg.FrontierTTL),
+		QueryTimeout:    queryTimeoutRounds,
 		Hooks: engine.Hooks[int]{
 			OnLearned: func(n int) {
 				p.env.Metrics().Add(MetricReplicasLearned, float64(n))
@@ -380,20 +379,16 @@ func (p *Peer) Tick(env *simnet.Env) {
 // pulling peers).
 func (p *Peer) runJanitor() {
 	reg := p.env.Metrics()
-	now := p.now()
-	if p.cfg.KeyTTL > 0 {
-		ttl := time.Duration(p.cfg.KeyTTL) * time.Second
-		if n := p.st.ExpireTTL(now, ttl); n > 0 {
-			reg.Add(MetricKeysExpired, float64(n))
-		}
+	expired, collected, compacted := engine.Janitor(p.st, p.now(),
+		time.Duration(p.cfg.KeyTTL)*time.Second, p.eng.StableFrontier)
+	if expired > 0 {
+		reg.Add(MetricKeysExpired, float64(expired))
 	}
-	if n := p.st.GCTombstones(now); n > 0 {
-		reg.Add(MetricTombstonesGC, float64(n))
+	if collected > 0 {
+		reg.Add(MetricTombstonesGC, float64(collected))
 	}
-	if frontier := p.eng.StableFrontier(); frontier != nil {
-		if n := p.st.CompactLog(frontier); n > 0 {
-			reg.Add(MetricLogCompacted, float64(n))
-		}
+	if compacted > 0 {
+		reg.Add(MetricLogCompacted, float64(compacted))
 	}
 }
 
@@ -437,6 +432,3 @@ func (p *Peer) PublishDelete(env *simnet.Env, key string) store.Update {
 	p.eng.PublishApplied(u, branches)
 	return u
 }
-
-// pullGossipSample is the number of peer ids piggybacked on pull responses.
-const pullGossipSample = 16

@@ -17,9 +17,9 @@ const defaultAckTimeout = 3 * time.Second
 // defaultSuspectTTL is how long a suspect is skipped as a push target.
 const defaultSuspectTTL = time.Minute
 
-// defaultFrontierTTL is how long a peer's last pull clock participates in
-// the stable compaction frontier.
-const defaultFrontierTTL = 10 * time.Minute
+// frontierTTL is how long a peer's last pull clock participates in the
+// stable compaction frontier.
+const frontierTTL = 10 * time.Minute
 
 // ackTimeout returns the effective ack deadline.
 func (c Config) ackTimeout() time.Duration {
@@ -35,14 +35,6 @@ func (c Config) suspectTTL() time.Duration {
 		return c.SuspectTTL
 	}
 	return defaultSuspectTTL
-}
-
-// frontierTTL returns the effective frontier participation window.
-func (c Config) frontierTTL() time.Duration {
-	if c.FrontierTTL > 0 {
-		return c.FrontierTTL
-	}
-	return defaultFrontierTTL
 }
 
 // Suspects returns the addresses currently suspected offline (for tests and

@@ -12,6 +12,7 @@ import (
 	"github.com/p2pgossip/update/internal/pf"
 	"github.com/p2pgossip/update/internal/replicalist"
 	"github.com/p2pgossip/update/internal/store"
+	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wal"
 	"github.com/p2pgossip/update/internal/wire"
 )
@@ -52,9 +53,6 @@ type Config struct {
 	// is answered with one snapshot frame instead of an entry-by-entry delta;
 	// 0 disables the size trigger (compaction gaps still force snapshots).
 	SnapshotCatchUp int
-	// FrontierTTL bounds how long a peer's last pull clock participates in
-	// the stable compaction frontier; 0 means 10 minutes.
-	FrontierTTL time.Duration
 	// JanitorInterval is the period of the background janitor that GCs
 	// expired tombstones, expires TTL'd keys, and compacts the update log up
 	// to the stable frontier; 0 disables the janitor.
@@ -70,10 +68,6 @@ type Config struct {
 	// Seed seeds the replica's random source; 0 draws a seed from
 	// crypto/rand so concurrently created replicas cannot collide.
 	Seed int64
-	// Shards is the lock-stripe count of the replica's sharded store; 0
-	// selects store.DefaultShards, other values round up to a power of two.
-	// More shards let more connection readers apply updates concurrently.
-	Shards int
 	// Hooks observes protocol events (applies, acks, suspicions). All
 	// callbacks are optional; see the Hooks type for the contract.
 	Hooks Hooks
@@ -121,16 +115,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("live: suspect ttl %v negative", c.SuspectTTL)
 	case c.SnapshotCatchUp < 0:
 		return fmt.Errorf("live: snapshot catch-up threshold %d negative", c.SnapshotCatchUp)
-	case c.FrontierTTL < 0:
-		return fmt.Errorf("live: frontier ttl %v negative", c.FrontierTTL)
 	case c.JanitorInterval < 0:
 		return fmt.Errorf("live: janitor interval %v negative", c.JanitorInterval)
 	case c.TombstoneRetention < 0:
 		return fmt.Errorf("live: tombstone retention %v negative", c.TombstoneRetention)
 	case c.KeyTTL < 0:
 		return fmt.Errorf("live: key ttl %v negative", c.KeyTTL)
-	case c.Shards < 0:
-		return fmt.Errorf("live: shards %d negative", c.Shards)
 	case c.WALCheckpointBytes < 0:
 		return fmt.Errorf("live: wal checkpoint threshold %d negative", c.WALCheckpointBytes)
 	default:
@@ -240,7 +230,7 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 		cfg:       cfg,
 		transport: transport,
 		addr:      transport.Addr(),
-		st:        store.NewShardedWithRetention(cfg.Shards, retain),
+		st:        store.NewShardedWithRetention(store.DefaultShards, retain),
 		rng:       rand.New(rand.NewSource(seed)),
 		senders:   make(map[string]*peerSender),
 		stop:      make(chan struct{}),
@@ -262,7 +252,7 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 		AckTimeout:      cfg.ackTimeout().Nanoseconds(),
 		SuspectTTL:      cfg.suspectTTL().Nanoseconds(),
 		SnapshotCatchUp: cfg.SnapshotCatchUp,
-		FrontierTTL:     cfg.frontierTTL().Nanoseconds(),
+		FrontierTTL:     frontierTTL.Nanoseconds(),
 		LazySweep:       true,
 		QueryLocalVoice: true,
 		ValidID:         func(addr string) bool { return addr != "" },
@@ -643,22 +633,20 @@ func (r *Replica) janitorLoop() {
 // pulling peers). The janitor ticker calls it on JanitorInterval; tests and
 // operators may call it directly.
 func (r *Replica) RunJanitor() {
-	now := time.Now()
-	if r.cfg.KeyTTL > 0 {
-		if n := r.st.ExpireTTL(now, r.cfg.KeyTTL); n > 0 {
-			r.add(MetricKeysExpired, n)
-		}
+	expired, collected, compacted := engine.Janitor(r.st, time.Now(), r.cfg.KeyTTL,
+		func() version.Clock {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			return r.eng.StableFrontier()
+		})
+	if expired > 0 {
+		r.add(MetricKeysExpired, expired)
 	}
-	if n := r.st.GCTombstones(now); n > 0 {
-		r.add(MetricTombstonesGC, n)
+	if collected > 0 {
+		r.add(MetricTombstonesGC, collected)
 	}
-	r.mu.Lock()
-	frontier := r.eng.StableFrontier()
-	r.mu.Unlock()
-	if frontier != nil {
-		if n := r.st.CompactLog(frontier); n > 0 {
-			r.add(MetricLogCompacted, n)
-		}
+	if compacted > 0 {
+		r.add(MetricLogCompacted, compacted)
 	}
 	r.maybeCheckpointWAL()
 }
@@ -706,7 +694,7 @@ func (r *Replica) WriteSnapshot(w io.Writer) error {
 // RestoreSnapshot replaces the replica's state with a snapshot previously
 // produced by WriteSnapshot (on this or another replica). The writer's
 // sequence counter advances so new updates never reuse sequence numbers.
-// Call before Start.
+// Updates the replica applied before the restore are discarded.
 func (r *Replica) RestoreSnapshot(rd io.Reader) error {
 	if err := r.st.RestoreSnapshot(rd); err != nil {
 		return err

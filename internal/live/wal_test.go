@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"github.com/p2pgossip/update/internal/pf"
+	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/wal"
+	"github.com/p2pgossip/update/internal/wire"
 )
 
 // walConfig is the base protocol config the WAL tests run replicas with.
@@ -261,5 +263,82 @@ func TestWALJanitorCheckpointBoundsLogAndRecovers(t *testing.T) {
 		if _, ok := r2.Get(fmt.Sprintf("k-%03d", i)); !ok {
 			t.Fatalf("key k-%03d missing after checkpointed recovery", i)
 		}
+	}
+}
+
+// TestWALRecoveryResyncsPastOwnGap restarts a replica that lost its disk,
+// got its own a/2 back without a/1, and logged it: recovery from the WAL
+// records, and then from a checkpoint alone, must resume the writer after
+// the highest own sequence number, not at the contiguous clock (which would
+// reissue a/1, a write every peer drops as a duplicate).
+func TestWALRecoveryResyncsPastOwnGap(t *testing.T) {
+	dir := t.TempDir()
+	old, err := store.NewWriter("a", store.New(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Put("k", []byte("1"))
+	a2 := old.Put("k", []byte("2"))
+
+	hub := NewHub()
+	open := func(seed int64) (*Replica, *wal.Log, func()) {
+		t.Helper()
+		l := openWAL(t, dir, wal.Options{})
+		tr, err := hub.Attach("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := walConfig()
+		cfg.Seed = seed
+		cfg.WAL = l
+		r, err := NewReplica(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.RecoverWAL(); err != nil {
+			t.Fatalf("RecoverWAL: %v", err)
+		}
+		return r, l, func() {
+			r.Stop()
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	nextSeq := func(r *Replica, key string) uint64 {
+		t.Helper()
+		u, err := r.Publish(key, []byte("v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u.Seq
+	}
+
+	r, _, stop := open(1)
+	r.handle(wire.Envelope{Kind: wire.KindPush, From: "b", Update: a2})
+	if !r.HasUpdate(a2.ID()) {
+		t.Fatal("own a/2 not ingested")
+	}
+	stop()
+
+	r, _, stop = open(2)
+	if seq := nextSeq(r, "after-replay"); seq != 3 {
+		t.Fatalf("after WAL replay the next write got seq %d, want 3", seq)
+	}
+	if _, err := r.CheckpointWAL(); err != nil {
+		t.Fatalf("CheckpointWAL: %v", err)
+	}
+	stop()
+
+	r, l, stop := open(3)
+	defer stop()
+	if l.Segments() != 1 {
+		t.Fatalf("checkpoint left %d segments", l.Segments())
+	}
+	if seq := nextSeq(r, "after-checkpoint"); seq != 4 {
+		t.Fatalf("after checkpoint recovery the next write got seq %d, want 4", seq)
 	}
 }

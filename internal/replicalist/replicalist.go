@@ -1,6 +1,8 @@
-// Package replicalist implements the partial flooding list R_f that the push
-// phase attaches to every update message, plus the peer-side replica
-// membership view it feeds.
+// Package replicalist holds the partial flooding list R_f that the push
+// phase attaches to every update message (Set), the membership view the
+// protocol engine samples push and pull targets from (View), the per-entry
+// wire size γ and the §4.2 truncation policies. Set and View are generic
+// over the driver's peer identity; internal/engine drives both.
 //
 // The list serves three purposes in the paper:
 //
@@ -21,7 +23,6 @@ package replicalist
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // EntryBytes is γ, the size in bytes to describe one replica in a message
@@ -57,126 +58,11 @@ func (p TruncatePolicy) String() string {
 	}
 }
 
-// List is a partial flooding list: an insertion-ordered set of peer IDs the
-// update has already been sent to. The zero value is an empty list.
-type List struct {
-	order []int
-	seen  map[int]struct{}
-}
-
-// New returns an empty list with capacity for n entries.
-func New(n int) *List {
-	return &List{
-		order: make([]int, 0, n),
-		seen:  make(map[int]struct{}, n),
-	}
-}
-
-// FromSlice builds a list from ids, preserving order and dropping duplicates.
-func FromSlice(ids []int) *List {
-	l := New(len(ids))
-	for _, id := range ids {
-		l.Add(id)
-	}
-	return l
-}
-
-// Len returns the number of entries.
-func (l *List) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.order)
-}
-
-// Contains reports whether id is in the list.
-func (l *List) Contains(id int) bool {
-	if l == nil {
-		return false
-	}
-	_, ok := l.seen[id]
-	return ok
-}
-
-// Add inserts id if absent and reports whether it was inserted.
-func (l *List) Add(id int) bool {
-	if l.seen == nil {
-		l.seen = make(map[int]struct{})
-	}
-	if _, ok := l.seen[id]; ok {
-		return false
-	}
-	l.seen[id] = struct{}{}
-	l.order = append(l.order, id)
-	return true
-}
-
-// AddAll inserts every id in ids, returning the number inserted.
-func (l *List) AddAll(ids []int) int {
-	n := 0
-	for _, id := range ids {
-		if l.Add(id) {
-			n++
-		}
-	}
-	return n
-}
-
-// Union returns a new list containing l's entries followed by other's new
-// entries. Neither input is modified.
-func (l *List) Union(other *List) *List {
-	out := New(l.Len() + other.Len())
-	if l != nil {
-		out.AddAll(l.order)
-	}
-	if other != nil {
-		out.AddAll(other.order)
-	}
-	return out
-}
-
-// Clone returns a deep copy.
-func (l *List) Clone() *List {
-	out := New(l.Len())
-	if l != nil {
-		out.AddAll(l.order)
-	}
-	return out
-}
-
-// Slice returns a copy of the entries in insertion order.
-func (l *List) Slice() []int {
-	if l == nil {
-		return nil
-	}
-	return append([]int(nil), l.order...)
-}
-
-// Sorted returns a sorted copy of the entries.
-func (l *List) Sorted() []int {
-	s := l.Slice()
-	sort.Ints(s)
-	return s
-}
-
-// SizeBytes returns the wire size contribution of the list (γ per entry).
-func (l *List) SizeBytes() int { return l.Len() * EntryBytes }
-
-// NormalizedLen returns L = len/R, the paper's normalised list length, the
-// local estimator of global spread. R must be positive.
-func (l *List) NormalizedLen(totalReplicas int) float64 {
-	if totalReplicas <= 0 {
-		return 0
-	}
-	return float64(l.Len()) / float64(totalReplicas)
-}
-
 // TruncatedCopy returns a copy of list with at most maxLen entries, dropping
 // the excess per the given policy. It is the single implementation of the
-// §4.2 truncation semantics, shared by List and by the protocol engine's
-// generic flooding lists. rng is required only for DropRandom (nil falls
-// back to DropTail); an unknown policy keeps everything. The input is never
-// modified.
+// §4.2 truncation semantics, used by the protocol engine's generic flooding
+// lists. rng is required only for DropRandom (nil falls back to DropTail);
+// an unknown policy keeps everything. The input is never modified.
 func TruncatedCopy[T any](list []T, maxLen int, policy TruncatePolicy, rng *rand.Rand) []T {
 	if maxLen < 0 || len(list) <= maxLen {
 		return append([]T(nil), list...)
@@ -203,106 +89,4 @@ func TruncatedCopy[T any](list []T, maxLen int, policy TruncatePolicy, rng *rand
 	default:
 		return append([]T(nil), list...)
 	}
-}
-
-// Truncate drops entries until the list has at most maxLen entries, using the
-// given policy. rng is required only for DropRandom. It returns the number of
-// entries dropped.
-func (l *List) Truncate(maxLen int, policy TruncatePolicy, rng *rand.Rand) int {
-	if l == nil || maxLen < 0 || l.Len() <= maxLen {
-		return 0
-	}
-	kept := TruncatedCopy(l.order, maxLen, policy, rng)
-	dropped := l.Len() - len(kept)
-	if dropped == 0 {
-		return 0 // unknown policy keeps everything
-	}
-	l.order = kept
-	l.seen = make(map[int]struct{}, len(kept))
-	for _, id := range kept {
-		l.seen[id] = struct{}{}
-	}
-	return dropped
-}
-
-// View is a peer's local membership view: the set of replicas it knows for
-// the data partition. The paper assumes "each replica knows a minimal
-// fraction of the complete set of replicas" (§2) and that views grow through
-// the update mechanism itself.
-type View struct {
-	list *List
-	self int
-}
-
-// NewView creates a view for peer self. The peer itself is never a member of
-// its own view.
-func NewView(self int) *View {
-	return &View{list: New(16), self: self}
-}
-
-// Self returns the owning peer's id.
-func (v *View) Self() int { return v.self }
-
-// Len returns the number of known replicas.
-func (v *View) Len() int { return v.list.Len() }
-
-// Known reports whether id is in the view.
-func (v *View) Known(id int) bool { return v.list.Contains(id) }
-
-// Learn adds id to the view (ignoring the peer itself) and reports whether it
-// was new.
-func (v *View) Learn(id int) bool {
-	if id == v.self {
-		return false
-	}
-	return v.list.Add(id)
-}
-
-// LearnAll adds every id, returning the number newly learned. This is how the
-// name-dropper effect materialises: partial lists piggybacked on updates
-// expand the receiver's view.
-func (v *View) LearnAll(ids []int) int {
-	n := 0
-	for _, id := range ids {
-		if v.Learn(id) {
-			n++
-		}
-	}
-	return n
-}
-
-// Members returns a copy of the view in insertion order.
-func (v *View) Members() []int { return v.list.Slice() }
-
-// SampleExcluding returns up to k distinct members drawn uniformly at random,
-// excluding any id in the exclude list. It is the "random subset R_p" choice
-// of the push phase and the random peer choice of the pull phase.
-func (v *View) SampleExcluding(k int, exclude *List, rng *rand.Rand) []int {
-	if k <= 0 || v.list.Len() == 0 {
-		return nil
-	}
-	// Reservoir-free approach: shuffle a copy of the candidate set. The view
-	// is small (hundreds), so this is cheap and exact.
-	candidates := make([]int, 0, v.list.Len())
-	for _, id := range v.list.order {
-		if exclude.Contains(id) {
-			continue
-		}
-		candidates = append(candidates, id)
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	rng.Shuffle(len(candidates), func(i, j int) {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	})
-	if k > len(candidates) {
-		k = len(candidates)
-	}
-	return candidates[:k]
-}
-
-// Sample returns up to k distinct members drawn uniformly at random.
-func (v *View) Sample(k int, rng *rand.Rand) []int {
-	return v.SampleExcluding(k, nil, rng)
 }

@@ -1,36 +1,35 @@
-package engine
+package replicalist
 
-import (
-	"math/rand"
+import "math/rand"
 
-	"github.com/p2pgossip/update/internal/replicalist"
-)
-
-// orderedSet is an insertion-ordered set of peer IDs. It backs both the
-// per-update flooding list R_f and the engine's membership view, generic
-// over the adapter's peer identity (int indices in the simulator, string
-// addresses in the live runtime).
-type orderedSet[ID comparable] struct {
+// Set is an insertion-ordered set of peer IDs: the per-update flooding list
+// R_f the protocol engine accumulates and carries on every push, generic over
+// the driver's peer identity (int indices in the simulator, string addresses
+// in the live runtime).
+type Set[ID comparable] struct {
 	order []ID
 	seen  map[ID]struct{}
 }
 
-func newOrderedSet[ID comparable](capacity int) *orderedSet[ID] {
-	return &orderedSet[ID]{
+// NewSet returns an empty set with room for capacity entries.
+func NewSet[ID comparable](capacity int) *Set[ID] {
+	return &Set[ID]{
 		order: make([]ID, 0, capacity),
 		seen:  make(map[ID]struct{}, capacity),
 	}
 }
 
-func (s *orderedSet[ID]) Len() int { return len(s.order) }
+// Len returns the number of entries.
+func (s *Set[ID]) Len() int { return len(s.order) }
 
-func (s *orderedSet[ID]) Contains(id ID) bool {
+// Contains reports whether id is in the set.
+func (s *Set[ID]) Contains(id ID) bool {
 	_, ok := s.seen[id]
 	return ok
 }
 
 // Add inserts id if absent and reports whether it was inserted.
-func (s *orderedSet[ID]) Add(id ID) bool {
+func (s *Set[ID]) Add(id ID) bool {
 	if _, ok := s.seen[id]; ok {
 		return false
 	}
@@ -40,7 +39,7 @@ func (s *orderedSet[ID]) Add(id ID) bool {
 }
 
 // AddAll inserts every id in ids, returning the number inserted.
-func (s *orderedSet[ID]) AddAll(ids []ID) int {
+func (s *Set[ID]) AddAll(ids []ID) int {
 	n := 0
 	for _, id := range ids {
 		if s.Add(id) {
@@ -51,7 +50,7 @@ func (s *orderedSet[ID]) AddAll(ids []ID) int {
 }
 
 // Slice returns a copy of the entries in insertion order.
-func (s *orderedSet[ID]) Slice() []ID {
+func (s *Set[ID]) Slice() []ID {
 	return append([]ID(nil), s.order...)
 }
 
@@ -59,7 +58,7 @@ func (s *orderedSet[ID]) Slice() []ID {
 // slice is capacity-clamped and the set only ever appends — existing entries
 // are never reordered or rewritten — so the view stays valid (and stays at
 // its length) while the set keeps growing. Callers must not mutate it.
-func (s *orderedSet[ID]) View() []ID {
+func (s *Set[ID]) View() []ID {
 	return s.order[:len(s.order):len(s.order)]
 }
 
@@ -67,8 +66,7 @@ func (s *orderedSet[ID]) View() []ID {
 // per the given policy (§4.2: "discarding either random entries or the head
 // or tail of the partial list"). The set itself is never modified — only the
 // transmitted copy is truncated, so "the nodes which push the update in the
-// next round pay the penalty". The policy semantics live in replicalist so
-// simulator lists and engine lists cannot drift.
-func (s *orderedSet[ID]) Truncated(maxLen int, policy replicalist.TruncatePolicy, rng *rand.Rand) []ID {
-	return replicalist.TruncatedCopy(s.order, maxLen, policy, rng)
+// next round pay the penalty". The policy semantics are TruncatedCopy's.
+func (s *Set[ID]) Truncated(maxLen int, policy TruncatePolicy, rng *rand.Rand) []ID {
+	return TruncatedCopy(s.order, maxLen, policy, rng)
 }

@@ -1,10 +1,12 @@
-package engine
+package replicalist
 
 import "math/rand"
 
-// peerView is the engine's membership view, organised for O(k) peer
-// sampling. The backing slice is partitioned into three contiguous segments
-// maintained incrementally as the §6 ack bookkeeping changes:
+// View is a peer's membership view — the replicas it knows for the data
+// partition, never itself — organised for O(k) peer sampling. The backing
+// slice is partitioned into three contiguous segments, which the protocol
+// engine maintains incrementally (Promote, Suspend, Release) as the §6 ack
+// bookkeeping changes:
 //
 //	[0, nPref)      preferred — peers that have acked a push and are not
 //	                currently suspected offline
@@ -18,36 +20,42 @@ import "math/rand"
 //
 // Without the ack optimisation every peer lives in the available segment and
 // the view degenerates to a flat uniform sampler.
-type peerView[ID comparable] struct {
+type View[ID comparable] struct {
 	order  []ID
 	pos    map[ID]int
 	nPref  int
 	nAvail int
 }
 
-func newPeerView[ID comparable](capacity int) *peerView[ID] {
-	return &peerView[ID]{
+// NewView returns an empty view with room for capacity peers.
+func NewView[ID comparable](capacity int) *View[ID] {
+	return &View[ID]{
 		order: make([]ID, 0, capacity),
 		pos:   make(map[ID]int, capacity),
 	}
 }
 
 // Len returns the number of known peers across all segments.
-func (v *peerView[ID]) Len() int { return len(v.order) }
+func (v *View[ID]) Len() int { return len(v.order) }
 
 // Contains reports whether id is in the view.
-func (v *peerView[ID]) Contains(id ID) bool {
+func (v *View[ID]) Contains(id ID) bool {
 	_, ok := v.pos[id]
 	return ok
 }
 
 // Slice returns a copy of the view. The order is the current partition
-// order, not insertion order.
-func (v *peerView[ID]) Slice() []ID {
+// order, not insertion order: see Segments.
+func (v *View[ID]) Slice() []ID {
 	return append([]ID(nil), v.order...)
 }
 
-func (v *peerView[ID]) swap(i, j int) {
+// Segments returns the partition bounds: Slice()[:preferred] are the
+// preferred peers, Slice()[preferred:available] the available ones and the
+// rest the suspended ones.
+func (v *View[ID]) Segments() (preferred, available int) { return v.nPref, v.nAvail }
+
+func (v *View[ID]) swap(i, j int) {
 	if i == j {
 		return
 	}
@@ -57,7 +65,7 @@ func (v *peerView[ID]) swap(i, j int) {
 }
 
 // Add inserts id into the available segment and reports whether it was new.
-func (v *peerView[ID]) Add(id ID) bool {
+func (v *View[ID]) Add(id ID) bool {
 	if _, ok := v.pos[id]; ok {
 		return false
 	}
@@ -69,9 +77,9 @@ func (v *peerView[ID]) Add(id ID) bool {
 	return true
 }
 
-// promote moves id into the preferred segment, from whichever segment it
+// Promote moves id into the preferred segment, from whichever segment it
 // currently occupies. Unknown ids are ignored.
-func (v *peerView[ID]) promote(id ID) {
+func (v *View[ID]) Promote(id ID) {
 	i, ok := v.pos[id]
 	if !ok {
 		return
@@ -87,8 +95,8 @@ func (v *peerView[ID]) promote(id ID) {
 	}
 }
 
-// suspend moves id into the suspended segment. Unknown ids are ignored.
-func (v *peerView[ID]) suspend(id ID) {
+// Suspend moves id into the suspended segment. Unknown ids are ignored.
+func (v *View[ID]) Suspend(id ID) {
 	i, ok := v.pos[id]
 	if !ok || i >= v.nAvail {
 		return
@@ -103,10 +111,10 @@ func (v *peerView[ID]) suspend(id ID) {
 	v.nAvail--
 }
 
-// release moves a suspended id back to the available segment (or straight to
+// Release moves a suspended id back to the available segment (or straight to
 // preferred when it had acked before the suspicion). Non-suspended or
 // unknown ids are ignored.
-func (v *peerView[ID]) release(id ID, preferred bool) {
+func (v *View[ID]) Release(id ID, preferred bool) {
 	i, ok := v.pos[id]
 	if !ok || i < v.nAvail {
 		return
@@ -114,7 +122,7 @@ func (v *peerView[ID]) release(id ID, preferred bool) {
 	v.swap(i, v.nAvail)
 	v.nAvail++
 	if preferred {
-		v.promote(id)
+		v.Promote(id)
 	}
 }
 
@@ -122,7 +130,7 @@ func (v *peerView[ID]) release(id ID, preferred bool) {
 // out, skipping the excluded id if it lies in the segment. It reorders the
 // segment in place (a partial Fisher–Yates), which is harmless: segment
 // membership, not order, is the invariant.
-func (v *peerView[ID]) drawFrom(out []ID, need, lo, hi int, rng *rand.Rand, exclude ID, haveExclude bool) []ID {
+func (v *View[ID]) drawFrom(out []ID, need, lo, hi int, rng *rand.Rand, exclude ID, haveExclude bool) []ID {
 	if haveExclude {
 		if e, ok := v.pos[exclude]; ok && e >= lo && e < hi {
 			v.swap(e, hi-1)
@@ -140,10 +148,11 @@ func (v *peerView[ID]) drawFrom(out []ID, need, lo, hi int, rng *rand.Rand, excl
 	return out
 }
 
-// sampleInto appends up to k distinct peers to out: preferred peers first,
+// SampleInto appends up to k distinct peers to out: preferred peers first,
 // then available ones, never suspended ones — the §6 selection rule. Each
-// segment's contribution is a uniform subset of that segment.
-func (v *peerView[ID]) sampleInto(out []ID, k int, rng *rand.Rand, exclude ID, haveExclude bool) []ID {
+// segment's contribution is a uniform subset of that segment. With
+// haveExclude set, exclude is never drawn, at constant cost.
+func (v *View[ID]) SampleInto(out []ID, k int, rng *rand.Rand, exclude ID, haveExclude bool) []ID {
 	out = v.drawFrom(out, k, 0, v.nPref, rng, exclude, haveExclude)
 	if len(out) < k {
 		out = v.drawFrom(out, k-len(out), v.nPref, v.nAvail, rng, exclude, haveExclude)

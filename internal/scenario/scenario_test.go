@@ -2,6 +2,10 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -31,14 +35,24 @@ func TestCatalogShape(t *testing.T) {
 }
 
 // TestCatalogInvariants runs every catalog scenario under one seed and
-// requires all invariants to pass — the tier-1 mirror of the CI matrix.
+// requires all invariants to pass — the tier-1 mirror of the CI matrix — and
+// the report to hash to its recorded digest in testdata/golden-seed1.txt, so
+// a change that should not alter behaviour provably does not.
 func TestCatalogInvariants(t *testing.T) {
+	golden := readGolden(t, "testdata/golden-seed1.txt")
 	for _, sc := range Catalog() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			res, err := Run(sc, 1)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
+			}
+			raw, err := res.JSON()
+			if err != nil {
+				t.Fatalf("JSON: %v", err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != golden[sc.Name] {
+				t.Errorf("scenario %s: report digest %s, golden %q", sc.Name, got, golden[sc.Name])
 			}
 			for _, inv := range res.Invariants {
 				if !inv.Passed {
@@ -53,6 +67,22 @@ func TestCatalogInvariants(t *testing.T) {
 			}
 		})
 	}
+}
+
+// readGolden parses "name sha256" lines, skipping blanks and # comments.
+func readGolden(t *testing.T, path string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(f[0], "#") {
+			out[f[0]] = f[1]
+		}
+	}
+	return out
 }
 
 // TestRunDeterministic runs the heaviest scenario twice under the same seed

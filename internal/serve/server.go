@@ -76,7 +76,7 @@ type Server struct {
 	exporter *metrics.Exporter
 	mux      *http.ServeMux
 	ready    atomic.Bool
-	restored atomic.Int64
+	restored int
 	started  time.Time
 }
 
@@ -89,12 +89,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: Config.Node is required")
 	}
 	s := &Server{
-		node:    cfg.Node,
-		reg:     cfg.Metrics,
-		mux:     http.NewServeMux(),
-		started: time.Now(),
+		node:     cfg.Node,
+		reg:      cfg.Metrics,
+		mux:      http.NewServeMux(),
+		restored: cfg.Restored,
+		started:  time.Now(),
 	}
-	s.restored.Store(int64(cfg.Restored))
 	s.ready.Store(!cfg.StartUnready)
 	if s.reg != nil {
 		for _, name := range pushpull.MetricNames() {
@@ -140,10 +140,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // SetReady flips the /readyz probe; the daemon marks itself unready while
 // draining so load balancers stop routing before the listener closes.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// SetRestored records the snapshot-restored update count served by
-// /v1/state.
-func (s *Server) SetRestored(n int) { s.restored.Store(int64(n)) }
 
 // statusWriter captures the response status for the error counter.
 type statusWriter struct {
@@ -442,7 +438,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		Addr:        s.node.Addr(),
 		Clock:       st.Clock(),
 		UpdateCount: st.UpdateCount(),
-		Restored:    int(s.restored.Load()),
+		Restored:    s.restored,
 		LiveKeys:    len(s.node.Keys()),
 		Digest:      digest(st),
 	}

@@ -207,12 +207,14 @@ func TestSnapshotDownloadRestore(t *testing.T) {
 	solo, err := pushpull.Open(
 		pushpull.WithHub(pushpull.NewHub(), "solo"),
 		pushpull.WithMetrics(reg),
-		pushpull.WithSnapshot(bytes.NewReader(snap)),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer solo.Close(ctx)
+	if err := solo.RestoreSnapshot(bytes.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
 	srv, err := New(Config{Node: solo, Metrics: reg, Restored: solo.Store().UpdateCount()})
 	if err != nil {
 		t.Fatal(err)

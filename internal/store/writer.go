@@ -61,8 +61,8 @@ func NewWriter(origin string, st Backend, now func() time.Time, rng *rand.Rand) 
 		rng = rand.New(rand.NewSource(CryptoSeed()))
 	}
 	w := &Writer{origin: origin, store: st, now: now, rng: rng}
-	// Resume the sequence after a restart from the store's clock.
-	w.seq = st.Clock().Get(origin)
+	// Resume the sequence after a restart from the store's contents.
+	w.seq = highestSeq(st, origin)
 	return w, nil
 }
 
@@ -119,13 +119,31 @@ func (w *Writer) mutate(key string, value []byte, del bool) (Update, int) {
 	return u, branches
 }
 
-// Resync advances the writer's sequence counter to the store's clock for
-// its origin. Call after restoring the store from a snapshot so that new
-// writes do not reuse sequence numbers.
+// Resync advances the writer's sequence counter to the highest sequence
+// number of its origin the store holds. Call after the store gained own
+// updates from elsewhere — a snapshot restore, log replay, or a peer handing
+// back history a diskless restart lost — so that new writes do not reuse
+// sequence numbers.
 func (w *Writer) Resync() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if seq := w.store.Clock().Get(w.origin); seq > w.seq {
+	if seq := highestSeq(w.store, w.origin); seq > w.seq {
 		w.seq = seq
 	}
+}
+
+// highestSeq returns the highest sequence number of origin in st. That is
+// the clock's contiguous prefix unless an own update arrived out of order:
+// a replica that lost its disk can get its a/2 back before a/1, and
+// resuming at the clock would issue a/1 again — a write every peer drops as
+// a duplicate. Only updates past the clock are scanned.
+func highestSeq(st Backend, origin string) uint64 {
+	clock := st.Clock()
+	seq := clock.Get(origin)
+	for _, u := range st.MissingFor(clock) {
+		if u.Origin == origin && u.Seq > seq {
+			seq = u.Seq
+		}
+	}
+	return seq
 }

@@ -79,8 +79,6 @@ func Open(opts ...Option) (*Node, error) {
 		return nil, ErrNoTransport
 	case o.transports > 1:
 		return fail(fmt.Errorf("%w: %d transport options given, want exactly one", ErrInvalidConfig, o.transports))
-	case o.cfg.WAL != nil && o.snapshot != nil:
-		return fail(fmt.Errorf("%w: WithWAL and WithSnapshot are mutually exclusive (the WAL checkpoint is the restore path)", ErrInvalidConfig))
 	}
 
 	n := &Node{
@@ -131,12 +129,6 @@ func Open(opts ...Option) (*Node, error) {
 				reg.Inc(MetricStoreObsolete)
 			}
 		})
-	}
-	if o.snapshot != nil {
-		if err := rep.RestoreSnapshot(o.snapshot); err != nil {
-			_ = tr.Close()
-			return nil, fmt.Errorf("%w: restore: %v", ErrSnapshot, err)
-		}
 	}
 	rep.AddPeers(o.peers...)
 	rep.Start()
@@ -309,7 +301,7 @@ func (n *Node) onApply(u store.Update, res store.ApplyResult, src Source, branch
 }
 
 // WriteSnapshot serialises the node's full update log to w, for restarts;
-// restore it into a fresh Node with WithSnapshot (or RestoreSnapshot).
+// restore it into a fresh Node with RestoreSnapshot.
 func (n *Node) WriteSnapshot(w io.Writer) error {
 	if err := n.replica.WriteSnapshot(w); err != nil {
 		return fmt.Errorf("%w: write: %v", ErrSnapshot, err)
@@ -318,9 +310,10 @@ func (n *Node) WriteSnapshot(w io.Writer) error {
 }
 
 // RestoreSnapshot replaces the node's state with a snapshot previously
-// produced by WriteSnapshot on this or another node. Prefer the WithSnapshot
-// option, which restores before the protocol starts; restoring a running
-// node discards updates applied since it opened. On a WAL-backed node the
+// produced by WriteSnapshot on this or another node. Restoring discards
+// updates applied since the node opened, so a diskless node restarting from
+// a snapshot restores right after Open, before it learns peers (AddPeers)
+// and reconciles by pulling. On a WAL-backed node the
 // restore is made durable by a checkpoint before RestoreSnapshot returns,
 // so recovery never replays the discarded pre-restore records; a failed
 // checkpoint is reported as ErrWAL.

@@ -295,12 +295,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	restored, err := pushpull.Open(
 		pushpull.WithHub(hub, "restored"),
 		pushpull.WithSeed(2),
-		pushpull.WithSnapshot(&snap),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close(ctx)
+	if err := restored.RestoreSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
 
 	if !reflect.DeepEqual(orig.Clock(), restored.Clock()) {
 		t.Fatalf("clocks differ: %v vs %v", orig.Clock(), restored.Clock())

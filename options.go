@@ -2,7 +2,6 @@ package pushpull
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/p2pgossip/update/internal/live"
@@ -10,7 +9,7 @@ import (
 	"github.com/p2pgossip/update/internal/wal"
 )
 
-// Metrics is a registry of named counters and series; pass one to Open with
+// Metrics is a registry of named counters; pass one to Open with
 // WithMetrics to receive the node's operational counters (see the
 // pushpull.Metric* constants for the names reported).
 type Metrics = metrics.Registry
@@ -85,7 +84,6 @@ type nodeOptions struct {
 	given         live.Transport // caller-supplied via WithTransport; owned by Open
 	peers         []string
 	metrics       *Metrics
-	snapshot      io.Reader
 	watchBuffer   int
 	err           error // first option-time error, surfaced by Open
 }
@@ -184,17 +182,6 @@ func WithListMax(n int) Option {
 	}
 }
 
-// WithShards sets the node's store shard count, the lock-striping unit of
-// the parallel ingest path: updates route to shards by the P-Grid trie hash
-// of their origin (log, duplicate detection, clock segment) and key (live
-// revisions), so more shards mean less contention between concurrent
-// connections. The count rounds up to a power of two; 0 (the default)
-// selects store.DefaultShards, and 1 degenerates to a single-lock store.
-// Snapshot bytes are independent of the shard count.
-func WithShards(n int) Option {
-	return func(o *nodeOptions) { o.cfg.Shards = n }
-}
-
 // WithSeed seeds the node's random source, making peer sampling and
 // forwarding decisions reproducible. 0 (the default) draws a seed from
 // crypto/rand.
@@ -216,21 +203,6 @@ func WithMetrics(reg *Metrics) Option {
 // WithPeers teaches the node the given replica addresses at startup.
 func WithPeers(addrs ...string) Option {
 	return func(o *nodeOptions) { o.peers = append(o.peers, addrs...) }
-}
-
-// WithSnapshot restores the node's store from a snapshot (produced by
-// Node.WriteSnapshot) before the protocol starts, so the first anti-entropy
-// pull already reconciles against the restored state. Mutually exclusive
-// with WithWAL, whose checkpoint + log replay is the authoritative restore
-// path.
-func WithSnapshot(r io.Reader) Option {
-	return func(o *nodeOptions) {
-		if r == nil {
-			o.fail(fmt.Errorf("%w: WithSnapshot(nil)", ErrInvalidConfig))
-			return
-		}
-		o.snapshot = r
-	}
 }
 
 // WAL is a write-ahead log attachable to a Node with WithWAL. Open one with
@@ -268,7 +240,8 @@ type WALRecoveryStats = live.WALRecovery
 // the log's checkpoint and replays surviving records before the protocol
 // starts, and the janitor checkpoints the log when it outgrows the
 // WithWALCheckpoint threshold. The node does not take ownership of l —
-// close it after the node. Mutually exclusive with WithSnapshot.
+// close it after the node. A node without a WAL is diskless; restore one
+// from a snapshot with Node.RestoreSnapshot.
 func WithWAL(l *WAL) Option {
 	return func(o *nodeOptions) {
 		if l == nil {
